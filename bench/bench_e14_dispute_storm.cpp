@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <thread>
 
 #include "bench_table.h"
 #include "btc/pow.h"
@@ -261,7 +262,9 @@ int main() {
     wl.blocks_per_wave = 5;
     wl.repetitions = 1;
   }
-  common::ThreadPool::configure_global(0);  // single-core reference container
+  // The naive-vs-storm comparison runs on the inline pool, so dedup alone
+  // is measured; the fan-out table below adds worker threads.
+  common::ThreadPool::configure_global(0);
 
   std::printf("# E14 — dispute storm: deduped batch judgment vs naive per-dispute\n");
   std::printf("# %zu disputes, %zu Zipf-shared anchors, %d-block segments%s\n\n", wl.disputes,
@@ -304,6 +307,30 @@ int main() {
       static_cast<unsigned long long>(unique_hashed), hit_rate * 100.0, speedup,
       gas_match ? "yes" : "NO");
 
+  // Thread fan-out: the storm engine hashes each batch's unique headers
+  // in one parallel_for on the global pool, then replays sequentially.
+  // Same worlds, same parity requirement, at each pool size the hardware
+  // backs.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  bench::Table fanout({"pool threads", "storm disputes/s", "scale vs inline"});
+  fanout.row({"0", bench::fmt(dps_storm, 1), bench::fmt(1.0, 2)});
+  for (const unsigned threads : {2u, 4u}) {
+    if (threads > hw) break;
+    double best_s = 0;
+    for (int rep = 0; rep < wl.repetitions; ++rep) {
+      auto w = build_world(1, wl);
+      common::ThreadPool::configure_global(threads);
+      const RunOutcome o = run_storm(*w);
+      common::ThreadPool::configure_global(0);
+      gas_match &= o.total_gas == best_naive.total_gas && o.failures == best_naive.failures;
+      if (rep == 0 || o.seconds < best_s) best_s = o.seconds;
+    }
+    const double dps = static_cast<double>(wl.disputes) / best_s;
+    fanout.row({bench::fmt_u(threads), bench::fmt(dps, 1), bench::fmt(dps / dps_storm, 2)});
+  }
+  std::printf("\n# storm engine thread fan-out (hardware threads: %u)\n\n", hw);
+  fanout.print();
+
   bench::JsonDoc doc;
   doc.set("experiment", "e14_dispute_storm");
   doc.set("smoke", smoke ? "yes" : "no");
@@ -319,6 +346,8 @@ int main() {
   doc.set("evidence_mb_per_s_storm", evidence_mb / best_storm.seconds);
   doc.set("speedup", speedup);
   doc.set("gas_parity", gas_match ? "yes" : "no");
+  doc.set("hw_threads", static_cast<std::uint64_t>(hw));
+  doc.add_table("storm_thread_fanout", fanout);
   doc.write("BENCH_e14_dispute_storm.json");
   return gas_match ? 0 : 1;
 }

@@ -7,11 +7,13 @@
 // specialized-kernel path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_table.h"
@@ -352,6 +354,26 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   doc.set("verify_warm_speedup", warm_speedup);
   doc.set("verify_batch_warm_speedup", batch_warm_speedup);
   doc.add_table("verify", verify);
+
+  // batch_verify across pool sizes: the cold batch's table builds and
+  // GLV chains fan out per key / per job; the inversion stays serial.
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  bench::Table batch_threads({"pool threads", "batch cold us/verify", "scale vs inline"});
+  double inline_us = 0;
+  for (const unsigned threads : {0u, 2u, 4u}) {
+    if (threads > hw) break;
+    common::ThreadPool pool(threads);
+    const double us = min_us_per_op(reps, n_batch, [&] {
+      benchmark::DoNotOptimize(batch_verify(pool, batch_cold, nullptr, nullptr));
+    });
+    if (threads == 0) inline_us = us;
+    batch_threads.row({bench::fmt_u(threads), bench::fmt(us, 1), bench::fmt(inline_us / us, 2)});
+  }
+  std::printf("\n# batch_verify over pool sizes (%llu distinct-key jobs per batch)\n\n",
+              static_cast<unsigned long long>(n_batch));
+  batch_threads.print();
+  doc.set("hw_threads", static_cast<std::uint64_t>(hw));
+  doc.add_table("batch_verify_threads", batch_threads);
 
   if (!smoke) return sink;
 

@@ -29,13 +29,12 @@
 #                      invariant violation the harness prints a one-line
 #                      repro ("fuzz_scenario_test --replay <seed>") and a
 #                      minimized event trace, and this script fails.
-#   --gateway-smoke    run the gateway serving bench in its short 1-vs-8
-#                      thread configuration (BTCFAST_GATEWAY_SMOKE) in a
-#                      scratch cwd and assert the 8-thread run scales by
-#                      at least BTCFAST_GATEWAY_SCALE_FACTOR (default 3x)
-#                      over the 1-thread run — auto-skipped when the
-#                      machine has fewer hardware threads than the bench
-#                      asks for, or when BTCFAST_SKIP_SCALE_CHECK is set.
+#   --gateway-smoke    run the gateway serving bench in its short
+#                      configuration (BTCFAST_GATEWAY_SMOKE: 1 thread vs
+#                      one thread per hardware thread) in a scratch cwd and
+#                      assert the multi-thread run scales by at least
+#                      BTCFAST_GATEWAY_SCALE_FACTOR (default half the
+#                      hardware thread count) over the 1-thread run.
 #                      Then build the asan and ubsan trees and run the
 #                      gateway tests plus the wire-decoder fuzz corpus
 #                      (BTCFAST_FUZZ_ITERS=2000) there.
@@ -187,39 +186,38 @@ fi
 
 if [[ "$gateway_smoke" == 1 ]]; then
   # The serving-layer gate: a short run of the concurrent gateway bench
-  # (1 and 8 customer threads, shrunk payment volume), then the gateway
-  # unit + pipeline tests and the wire-decoder fuzz corpus under both
-  # memory sanitizers. Run from a scratch cwd for the same reason as the
-  # bench smoke: keep the curated BENCH_e11_gateway.json artifact intact.
+  # (1 customer thread and one per hardware thread, shrunk payment
+  # volume), then the gateway unit + pipeline tests and the wire-decoder
+  # fuzz corpus under both memory sanitizers. Run from a scratch cwd for
+  # the same reason as the bench smoke: keep the curated
+  # BENCH_e11_gateway.json artifact intact.
   echo "== gateway smoke bench (${bindir}) =="
   cmake --build --preset "$preset" -j "$jobs" --target bench_e11_gateway
   smoke_dir="$bindir/gateway-smoke"
   mkdir -p "$smoke_dir"
   repo_root="$PWD"
   (cd "$smoke_dir" && BTCFAST_GATEWAY_SMOKE=1 "$repo_root/$bindir/bench/bench_e11_gateway")
-  # Thread-scaling assertion: the smoke JSON records accepts/s at 1 and 8
-  # threads plus the machine's hardware thread count. On a machine with
-  # enough cores, 8 threads must beat 1 thread by the configured factor;
-  # on constrained runners (the reference container is single-core) the
-  # check is meaningless and skips itself.
+  # Thread-scaling assertion: the smoke JSON records accepts/s at 1 thread
+  # and at scale_threads = the machine's hardware thread count, which must
+  # beat 1 thread by the configured factor (on a 1-thread machine both
+  # runs are the same run and the ratio is 1). The default floor is half
+  # the thread count, not more: on a shared 4-vCPU host each thread slows
+  # as the others fill the cores, and lock-free cold verifies alone scale
+  # only ~2.5x at 4 threads there.
   smoke_json="$smoke_dir/BENCH_e11_gateway.json"
   json_num() { sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\([0-9.]*\).*/\1/p" "$smoke_json" | head -n1; }
-  hw_threads="$(json_num hw_threads)"
   scale_threads="$(json_num scale_threads)"
   scale_ratio="$(json_num scale_ratio)"
-  scale_factor="${BTCFAST_GATEWAY_SCALE_FACTOR:-3}"
-  if [[ -n "${BTCFAST_SKIP_SCALE_CHECK:-}" ]]; then
-    echo "== gateway scaling check: skipped (BTCFAST_SKIP_SCALE_CHECK) =="
-  elif [[ -z "$hw_threads" || -z "$scale_ratio" || -z "$scale_threads" ]]; then
+  if [[ -z "$scale_ratio" || -z "$scale_threads" ]]; then
     echo "== gateway scaling check: FAILED to parse $smoke_json =="
     exit 1
-  elif awk -v h="$hw_threads" -v t="$scale_threads" 'BEGIN{exit !(h < t)}'; then
-    echo "== gateway scaling check: skipped (${hw_threads} hardware threads < ${scale_threads} bench threads) =="
-  elif awk -v r="$scale_ratio" -v f="$scale_factor" 'BEGIN{exit !(r >= f)}'; then
+  fi
+  scale_factor="${BTCFAST_GATEWAY_SCALE_FACTOR:-$(awk -v t="$scale_threads" 'BEGIN{print 0.5 * t}')}"
+  if awk -v r="$scale_ratio" -v f="$scale_factor" 'BEGIN{exit !(r >= f)}'; then
     echo "== gateway scaling check: ${scale_threads}-thread/1-thread = ${scale_ratio}x (>= ${scale_factor}x) =="
   else
     echo "== gateway scaling check: FAILED — ${scale_threads}-thread/1-thread = ${scale_ratio}x < ${scale_factor}x =="
-    echo "   (override the floor with BTCFAST_GATEWAY_SCALE_FACTOR or skip with BTCFAST_SKIP_SCALE_CHECK)"
+    echo "   (override the floor with BTCFAST_GATEWAY_SCALE_FACTOR)"
     exit 1
   fi
   for san in asan ubsan; do

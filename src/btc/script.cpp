@@ -12,12 +12,11 @@ bool verify_script(const ScriptSig& sig, const ScriptPubKey& lock,
   if (!equal_bytes({h.data(), h.size()}, {lock.dest.bytes.data(), lock.dest.bytes.size()})) {
     return false;
   }
-  // 2. Signature must verify under that pubkey. Routed through the global
-  // signature cache: a repeat check of an identical (sighash, key, sig)
+  // 2. Signature must verify under that pubkey, through the one cached
+  // verify path: a repeat check of an identical (sighash, key, sig)
   // triple skips even the pubkey decompression.
-  return crypto::ecdsa_verify_cached(&crypto::SigCache::global(),
-                                     {sig.pubkey.data(), sig.pubkey.size()}, sighash,
-                                     {sig.signature.data(), sig.signature.size()});
+  return crypto::verify_signature({sig.pubkey.data(), sig.pubkey.size()}, sighash,
+                                  {sig.signature.data(), sig.signature.size()});
 }
 
 std::string encode_address(const PubKeyHash& h) {

@@ -43,13 +43,18 @@ psc::Value MerchantService::outstanding_exposure(EscrowId escrow) const {
   return total;
 }
 
-AcceptDecision MerchantService::evaluate_against(const FastPayPackage& pkg,
-                                                 const Invoice& invoice, std::uint64_t now_ms,
-                                                 const std::optional<EscrowView>& escrow,
-                                                 psc::Value outstanding) const {
-  auto reject = [](RejectReason code, std::string why) {
-    return AcceptDecision{false, std::move(why), code};
-  };
+namespace {
+
+AcceptDecision reject(RejectReason code, std::string why) {
+  return AcceptDecision{false, std::move(why), code};
+}
+
+}  // namespace
+
+AcceptDecision MerchantService::check_terms(const FastPayPackage& pkg, const Invoice& invoice,
+                                            std::uint64_t now_ms,
+                                            const std::optional<EscrowView>& escrow,
+                                            psc::Value outstanding) const {
   const PaymentBinding& b = pkg.binding.binding;
 
   // 1. Invoice conformance.
@@ -104,14 +109,19 @@ AcceptDecision MerchantService::evaluate_against(const FastPayPackage& pkg,
   if (escrow->unlock_time_ms < b.expiry_ms) {
     return reject(RejectReason::kEscrowUnlocksTooSoon, "escrow unlocks before binding expires");
   }
+  return AcceptDecision{true, {}, RejectReason::kNone};
+}
 
-  // 4. Binding signature under the escrow's registered customer key.
-  const auto customer_key =
-      crypto::PublicKey::parse({escrow->customer_btc_key.data(), escrow->customer_btc_key.size()});
-  if (!customer_key) {
-    return reject(RejectReason::kBadCustomerKey, "escrow holds an invalid customer key");
-  }
-  if (!pkg.binding.verify(*customer_key)) {
+AcceptDecision MerchantService::verify_payment(const FastPayPackage& pkg,
+                                               const EscrowView& escrow) const {
+  // 4. Binding signature under the escrow's registered customer key. The
+  // key is only decompressed on a cache miss; a failed check then tells
+  // a key that does not decode from a bad signature.
+  const ByteSpan customer_key{escrow.customer_btc_key.data(), escrow.customer_btc_key.size()};
+  if (!pkg.binding.verify(customer_key)) {
+    if (!crypto::PublicKey::parse(customer_key)) {
+      return reject(RejectReason::kBadCustomerKey, "escrow holds an invalid customer key");
+    }
     return reject(RejectReason::kBindingSigInvalid, "binding signature invalid");
   }
 
@@ -128,7 +138,7 @@ AcceptDecision MerchantService::evaluate_against(const FastPayPackage& pkg,
                     "input missing or already spent: " + prevout.to_string());
     }
     if (auto conflict = btc_node_.mempool().spender_of(prevout)) {
-      if (*conflict != b.btc_txid) {
+      if (*conflict != pkg.binding.binding.btc_txid) {
         return reject(RejectReason::kInputConflict,
                       "input double-spent in mempool by " + conflict->to_string());
       }
@@ -145,6 +155,22 @@ AcceptDecision MerchantService::evaluate_against(const FastPayPackage& pkg,
   return AcceptDecision{true, {}, RejectReason::kNone};
 }
 
+void MerchantService::collect_sig_checks(const FastPayPackage& pkg,
+                                         const std::optional<EscrowView>& escrow,
+                                         std::vector<crypto::SigCheckJob>& out) const {
+  if (escrow) {
+    out.push_back({pkg.binding.binding.signing_digest(), escrow->customer_btc_key,
+                   pkg.binding.customer_sig});
+  }
+  for (std::size_t i = 0; i < pkg.payment_tx.inputs.size(); ++i) {
+    const auto& in = pkg.payment_tx.inputs[i];
+    if (const auto coin = btc_node_.chain().utxo().get(in.prevout)) {
+      out.push_back({pkg.payment_tx.signature_hash(i, coin->out.script_pubkey),
+                     in.script_sig.pubkey, in.script_sig.signature});
+    }
+  }
+}
+
 AcceptDecision MerchantService::evaluate_fastpay(const FastPayPackage& pkg,
                                                  const Invoice& invoice, std::uint64_t now_ms) {
   // Admission: a bounded book rejects loudly instead of growing silently.
@@ -154,38 +180,25 @@ AcceptDecision MerchantService::evaluate_fastpay(const FastPayPackage& pkg,
                           RejectReason::kPendingLimit};
   }
   const EscrowId escrow_id = pkg.binding.binding.escrow_id;
-  return evaluate_against(pkg, invoice, now_ms, escrow_view(escrow_id),
-                          outstanding_exposure(escrow_id));
+  const auto escrow = escrow_view(escrow_id);
+  const AcceptDecision terms =
+      check_terms(pkg, invoice, now_ms, escrow, outstanding_exposure(escrow_id));
+  if (!terms.accepted) return terms;
+  return verify_payment(pkg, *escrow);
 }
 
 std::vector<AcceptDecision> MerchantService::evaluate_fastpay_batch(
     const std::vector<FastPayPackage>& pkgs, const std::vector<Invoice>& invoices,
     std::uint64_t now_ms) {
   // Phase 1: collect every signature check the sequential path would run
-  // and verify them in parallel into the global cache. Escrow lookups are
-  // local view calls (cheap); the curve math is the expensive part.
+  // and verify them in parallel into the global caches. Escrow lookups
+  // are local view calls (cheap); the curve math is the expensive part.
   std::vector<crypto::SigCheckJob> jobs;
   for (const auto& pkg : pkgs) {
-    const PaymentBinding& b = pkg.binding.binding;
-    if (const auto escrow = escrow_view(b.escrow_id)) {
-      crypto::SigCheckJob job;
-      job.digest = b.signing_digest();
-      job.pubkey = escrow->customer_btc_key;
-      job.sig = pkg.binding.customer_sig;
-      jobs.push_back(job);
-    }
-    for (std::size_t i = 0; i < pkg.payment_tx.inputs.size(); ++i) {
-      const auto& in = pkg.payment_tx.inputs[i];
-      if (const auto coin = btc_node_.chain().utxo().get(in.prevout)) {
-        crypto::SigCheckJob job;
-        job.digest = pkg.payment_tx.signature_hash(i, coin->out.script_pubkey);
-        job.pubkey = in.script_sig.pubkey;
-        job.sig = in.script_sig.signature;
-        jobs.push_back(job);
-      }
-    }
+    collect_sig_checks(pkg, escrow_view(pkg.binding.binding.escrow_id), jobs);
   }
-  (void)crypto::batch_verify(common::ThreadPool::global(), jobs, &crypto::SigCache::global());
+  (void)crypto::batch_verify(common::ThreadPool::global(), jobs, &crypto::SigCache::global(),
+                             &crypto::PubkeyPrecompCache::global());
 
   // Phase 2: unchanged sequential decisions. Signature checks hit the
   // cache; everything else (expiry, coverage, UTXO state) was always

@@ -11,6 +11,7 @@
 #include "btcfast/protocol.h"
 #include "btcsim/node.h"
 #include "btcsim/scenario.h"
+#include "crypto/batch_verify.h"
 #include "psc/chain.h"
 
 namespace btcfast::core {
@@ -70,16 +71,33 @@ class MerchantService {
   [[nodiscard]] AcceptDecision evaluate_fastpay(const FastPayPackage& pkg,
                                                 const Invoice& invoice, std::uint64_t now_ms);
 
-  /// The reentrant acceptance core: the full fast-path decision against a
-  /// caller-supplied escrow view and outstanding-exposure figure. Const
-  /// and safe to call concurrently (from gateway worker threads) while
-  /// the simulation is quiescent — it only reads the merchant node's
-  /// chain/UTXO/mempool and the process-global signature cache.
-  /// evaluate_fastpay == pending-limit check + fetch_escrow + this.
-  [[nodiscard]] AcceptDecision evaluate_against(const FastPayPackage& pkg, const Invoice& invoice,
-                                                std::uint64_t now_ms,
-                                                const std::optional<EscrowView>& escrow,
-                                                psc::Value outstanding) const;
+  /// The reentrant acceptance core, in two halves (the gateway times them
+  /// as its evaluate and verify stages). Both are const and safe to call
+  /// concurrently from gateway worker threads while the simulation is
+  /// quiescent: they only read the merchant node's chain/UTXO/mempool and
+  /// the process-global verify caches. evaluate_fastpay == pending-limit
+  /// check + escrow fetch + check_terms + verify_payment.
+  ///
+  /// check_terms: invoice conformance, payment amount, escrow health and
+  /// collateral coverage against a caller-supplied escrow view and
+  /// outstanding-exposure figure. No signature work.
+  [[nodiscard]] AcceptDecision check_terms(const FastPayPackage& pkg, const Invoice& invoice,
+                                           std::uint64_t now_ms,
+                                           const std::optional<EscrowView>& escrow,
+                                           psc::Value outstanding) const;
+  /// verify_payment (after check_terms accepted): the binding signature
+  /// under the escrow's customer key, then each payment input (unspent,
+  /// unconflicted, signature valid), then value conservation. Every
+  /// signature goes through crypto::verify_signature.
+  [[nodiscard]] AcceptDecision verify_payment(const FastPayPackage& pkg,
+                                              const EscrowView& escrow) const;
+
+  /// Append the signature checks verify_payment will run on `pkg`: the
+  /// binding (when the escrow is known) and every input whose prevout the
+  /// merchant node holds. Batch intake verifies them in one
+  /// crypto::batch_verify pass, so the sequential decisions hit the cache.
+  void collect_sig_checks(const FastPayPackage& pkg, const std::optional<EscrowView>& escrow,
+                          std::vector<crypto::SigCheckJob>& out) const;
 
   /// Batch intake for N independent packages: a parallel phase verifies
   /// every signature (binding + per-input payment sigs) across the global
@@ -123,9 +141,6 @@ class MerchantService {
   [[nodiscard]] std::size_t disputed_count() const noexcept;
   [[nodiscard]] const Config& config() const noexcept { return config_; }
   [[nodiscard]] const sim::Party& btc_identity() const noexcept { return btc_; }
-  /// Read-only node access for callers that pre-stage parallel signature
-  /// checks (the gateway's batch intake mirrors evaluate_fastpay_batch).
-  [[nodiscard]] const sim::Node& btc_node() const noexcept { return btc_node_; }
 
   /// Exposure the merchant already carries against an escrow (sum of
   /// unsettled accepted compensations) — the fast path refuses bindings

@@ -98,13 +98,12 @@ std::optional<SignedBinding> SignedBinding::deserialize(ByteSpan data) {
   return out;
 }
 
-bool SignedBinding::verify(const crypto::PublicKey& customer_key) const {
+bool SignedBinding::verify(ByteSpan customer_key33) const {
   // Cached: the merchant checks this binding at intake and PayJudger
   // re-checks the identical triple on dispute — the second check is a
   // hash lookup.
-  return crypto::ecdsa_verify_cached(&crypto::SigCache::global(), customer_key,
-                                     binding.signing_digest(),
-                                     {customer_sig.data(), customer_sig.size()});
+  return crypto::verify_signature(customer_key33, binding.signing_digest(),
+                                  {customer_sig.data(), customer_sig.size()});
 }
 
 Bytes Invoice::serialize() const {

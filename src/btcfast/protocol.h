@@ -48,9 +48,10 @@ struct SignedBinding {
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<SignedBinding> deserialize(ByteSpan data);
 
-  /// Verify against the customer's binding key (the key registered in the
-  /// escrow at deposit time).
-  [[nodiscard]] bool verify(const crypto::PublicKey& customer_key) const;
+  /// Verify against the customer's binding key (the 33-byte compressed
+  /// key registered in the escrow at deposit time). False for a key that
+  /// does not decode.
+  [[nodiscard]] bool verify(ByteSpan customer_key33) const;
 };
 
 /// What a merchant quotes to a customer.

@@ -207,7 +207,8 @@ void PubkeyPrecompCache::clear() {
 }
 
 PubkeyPrecompCache& PubkeyPrecompCache::global() {
-  static PubkeyPrecompCache cache;
+  // Starts disabled: see the header.
+  static PubkeyPrecompCache cache(0);
   return cache;
 }
 
@@ -219,59 +220,26 @@ bool ecdsa_verify_cached(SigCache* cache, ByteSpan pubkey33, const Sha256Digest&
     key = SigCache::make_key(digest, pubkey33, sig64);
     if (cache->contains(key)) return true;
   }
-  if (precomp != nullptr) {
-    PubkeyPrecompCache::Key pk{};
-    for (std::size_t i = 0; i < 33; ++i) pk[i] = pubkey33[i];
-    if (const auto pre = precomp->lookup(pk)) {
-      // Warm repeat-payer path: no decompression, no table build.
-      const auto sig = Signature::parse(sig64);
-      if (!sig || !ecdsa_verify_precomp(digest, *sig, *pre)) return false;
-      if (cache != nullptr) cache->insert(key);
-      return true;
-    }
-    const auto pub = PublicKey::parse(pubkey33);
-    if (!pub) return false;
-    const auto sig = Signature::parse(sig64);
-    if (!sig) return false;
-    if (!ecdsa_verify(*pub, digest, *sig)) return false;
-    if (cache != nullptr) cache->insert(key);
-    precomp->note_verified(pk, pub->point());
-    return true;
-  }
-  const auto pub = PublicKey::parse(pubkey33);
-  if (!pub) return false;
+  const PubkeyPrecompCache::Key pk = to_array<33>(pubkey33);
+  const auto pre = precomp != nullptr ? precomp->lookup(pk) : nullptr;
   const auto sig = Signature::parse(sig64);
   if (!sig) return false;
-  if (!ecdsa_verify(*pub, digest, *sig)) return false;
+  std::optional<PublicKey> pub;
+  if (pre != nullptr) {
+    // Warm repeat-payer path: no decompression, no table build.
+    if (!ecdsa_verify_precomp(digest, *sig, *pre)) return false;
+  } else {
+    pub = PublicKey::parse(pubkey33);
+    if (!pub || !ecdsa_verify(*pub, digest, *sig)) return false;
+  }
   if (cache != nullptr) cache->insert(key);
+  if (precomp != nullptr && pub) precomp->note_verified(pk, pub->point());
   return true;
 }
 
-bool ecdsa_verify_cached(SigCache* cache, const PublicKey& pubkey, const Sha256Digest& digest,
-                         ByteSpan sig64, PubkeyPrecompCache* precomp) noexcept {
-  if (sig64.size() != 64) return false;
-  const auto enc = pubkey.serialize();  // compression is cheap (no curve math)
-  SigCache::Key key{};
-  if (cache != nullptr) {
-    key = SigCache::make_key(digest, {enc.data(), enc.size()}, sig64);
-    if (cache->contains(key)) return true;
-  }
-  const auto sig = Signature::parse(sig64);
-  if (!sig) return false;
-  if (precomp != nullptr) {
-    if (const auto pre = precomp->lookup(enc)) {
-      if (!ecdsa_verify_precomp(digest, *sig, *pre)) return false;
-      if (cache != nullptr) cache->insert(key);
-      return true;
-    }
-    if (!ecdsa_verify(pubkey, digest, *sig)) return false;
-    if (cache != nullptr) cache->insert(key);
-    precomp->note_verified(enc, pubkey.point());
-    return true;
-  }
-  if (!ecdsa_verify(pubkey, digest, *sig)) return false;
-  if (cache != nullptr) cache->insert(key);
-  return true;
+bool verify_signature(ByteSpan pubkey33, const Sha256Digest& digest, ByteSpan sig64) noexcept {
+  return ecdsa_verify_cached(&SigCache::global(), pubkey33, digest, sig64,
+                             &PubkeyPrecompCache::global());
 }
 
 }  // namespace btcfast::crypto

@@ -146,7 +146,13 @@ class PubkeyPrecompCache {
   void reset_stats() noexcept;
   void clear();
 
-  /// Process-wide cache used by the gateway verify path.
+  /// Process-wide cache behind verify_signature and the gateway's batch
+  /// pass. It starts disabled (capacity 0) and a gateway sizes it
+  /// (GatewayConfig::pubkey_precomp_max): only a serving front end sees
+  /// repeat payers. Elsewhere (block and mempool validation, dispute
+  /// replay) a one-shot payer's binding and input signatures are two
+  /// sightings of one key, so two-touch admission would build ~18 KiB of
+  /// tables per payer that nothing reads again.
   [[nodiscard]] static PubkeyPrecompCache& global();
 
  private:
@@ -190,10 +196,12 @@ class PubkeyPrecompCache {
                                        const Sha256Digest& digest, ByteSpan sig64,
                                        PubkeyPrecompCache* precomp = nullptr) noexcept;
 
-/// Overload for callers that already hold a parsed key — a miss skips the
-/// (expensive) decompression the span overload would redo.
-[[nodiscard]] bool ecdsa_verify_cached(SigCache* cache, const PublicKey& pubkey,
-                                       const Sha256Digest& digest, ByteSpan sig64,
-                                       PubkeyPrecompCache* precomp = nullptr) noexcept;
+/// The one production single-signature check: ecdsa_verify_cached over
+/// the process-wide SigCache and PubkeyPrecompCache. Script inputs, the
+/// merchant's binding check and the PSC host's ecdsa precompile all
+/// verify here, so a triple or key warmed by any of them (or by a
+/// batch_verify pass over the same caches) is warm for all of them.
+[[nodiscard]] bool verify_signature(ByteSpan pubkey33, const Sha256Digest& digest,
+                                    ByteSpan sig64) noexcept;
 
 }  // namespace btcfast::crypto

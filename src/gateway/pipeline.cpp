@@ -53,12 +53,7 @@ struct InflightGuard {
 }  // namespace
 
 Gateway::Gateway(core::MerchantService& merchant, common::ThreadPool& pool, GatewayConfig config)
-    : merchant_(merchant),
-      pool_(pool),
-      config_(config),
-      batcher_(pool, &crypto::SigCache::global(),
-               VerifyBatcher::Config{config.verify_batch_max, config.verify_batch_wait_us},
-               &crypto::PubkeyPrecompCache::global()) {
+    : merchant_(merchant), pool_(pool), config_(config) {
   crypto::PubkeyPrecompCache::global().set_capacity(config_.pubkey_precomp_max);
   const std::size_t n = std::clamp<std::size_t>(config_.shards, 1, 64);
   config_.shards = n;
@@ -276,46 +271,23 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
   psc::Value outstanding = 0;
   if (const auto snap = sh.ledger.snapshot(b.escrow_id)) outstanding = snap->local_reserved;
 
-  // Stage: verify. Opportunistic micro-batch — this request's signature
-  // jobs coalesce with every other concurrently in-flight submit into
-  // one batch_verify that warms the global SigCache, so the inline
-  // checks inside evaluate_against below are cache hits. Zero-latency
-  // when single-threaded (no window opens) or disabled.
-  if (config_.verify_batch_max > 0 && escrow.has_value()) {
-    stage_start = Clock::now();
-    std::vector<crypto::SigCheckJob> jobs;
-    jobs.reserve(1 + req->package.payment_tx.inputs.size());
-    {
-      crypto::SigCheckJob job;
-      job.digest = b.signing_digest();
-      job.pubkey = escrow->customer_btc_key;
-      job.sig = req->package.binding.customer_sig;
-      jobs.push_back(job);
-    }
-    const auto& node = merchant_.btc_node();
-    for (std::size_t i = 0; i < req->package.payment_tx.inputs.size(); ++i) {
-      const auto& in = req->package.payment_tx.inputs[i];
-      if (const auto coin = node.chain().utxo().get(in.prevout)) {
-        crypto::SigCheckJob job;
-        job.digest = req->package.payment_tx.signature_hash(i, coin->out.script_pubkey);
-        job.pubkey = in.script_sig.pubkey;
-        job.sig = in.script_sig.signature;
-        jobs.push_back(job);
-      }
-    }
-    const bool allow_wait = inflight_.load(std::memory_order_relaxed) > 1;
-    (void)batcher_.verify(std::move(jobs), allow_wait);
-    mark(Stage::kVerify);
+  // Stage: evaluate. Const and read-only — many threads run this
+  // concurrently; terms and coverage only, no signature work.
+  stage_start = Clock::now();
+  const auto terms = merchant_.check_terms(req->package, *invoice, now_ms, escrow, outstanding);
+  mark(Stage::kEvaluate);
+  if (!terms.accepted) {
+    return finish(false, terms.code, terms.reason, 0);
   }
 
-  // Stage: evaluate. Const and read-only — many threads run this
-  // concurrently; signature checks go through the global SigCache.
-  stage_start = Clock::now();
-  const auto decision =
-      merchant_.evaluate_against(req->package, *invoice, now_ms, escrow, outstanding);
-  mark(Stage::kEvaluate);
-  if (!decision.accepted) {
-    return finish(false, decision.code, decision.reason, 0);
+  // Stage: verify. Each signature goes through the one cached verify
+  // path on this thread (SigCache, then precomp tables, then cold GLV),
+  // so concurrent serves verify in parallel; after serve_batch's verify
+  // pass every check here is a cache hit.
+  const auto verdict = merchant_.verify_payment(req->package, *escrow);
+  mark(Stage::kVerify);
+  if (!verdict.accepted) {
+    return finish(false, verdict.code, verdict.reason, 0);
   }
 
   // Stage: reserve. The per-escrow serialization point — the shard's
@@ -448,36 +420,22 @@ std::future<Bytes> Gateway::submit(Bytes frame_bytes, std::uint64_t now_ms) {
 
 std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
   // Phase 1 (parallel): pre-verify every signature the sequential serves
-  // below would check, warming the global cache — the same fast-verify
-  // pipeline MerchantService::evaluate_fastpay_batch uses.
+  // below would check, warming the global caches — the same pass
+  // MerchantService::evaluate_fastpay_batch runs.
   std::vector<crypto::SigCheckJob> jobs;
   for (const auto& bytes : frames) {
     const auto frame = Frame::deserialize(bytes);
     if (!frame || frame->type != MsgType::kSubmitFastPay) continue;
     const auto req = SubmitFastPayRequest::deserialize(frame->payload);
     if (!req) continue;
-    const core::PaymentBinding& b = req->package.binding.binding;
-    if (const auto escrow = escrow_for(b.escrow_id)) {
-      crypto::SigCheckJob job;
-      job.digest = b.signing_digest();
-      job.pubkey = escrow->customer_btc_key;
-      job.sig = req->package.binding.customer_sig;
-      jobs.push_back(job);
-    }
-    const auto& node = merchant_.btc_node();
-    for (std::size_t i = 0; i < req->package.payment_tx.inputs.size(); ++i) {
-      const auto& in = req->package.payment_tx.inputs[i];
-      if (const auto coin = node.chain().utxo().get(in.prevout)) {
-        crypto::SigCheckJob job;
-        job.digest = req->package.payment_tx.signature_hash(i, coin->out.script_pubkey);
-        job.pubkey = in.script_sig.pubkey;
-        job.sig = in.script_sig.signature;
-        jobs.push_back(job);
-      }
-    }
+    merchant_.collect_sig_checks(req->package, escrow_for(req->package.binding.binding.escrow_id),
+                                 jobs);
   }
-  (void)crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
-                             &crypto::PubkeyPrecompCache::global());
+  if (!jobs.empty()) {
+    (void)crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
+                               &crypto::PubkeyPrecompCache::global());
+    verify_pass_.on_pass(jobs.size());
+  }
 
   // Phase 2 (sequential): decisions in input order — identical responses
   // to a plain serve() loop for any pool size, just with hot caches.

@@ -7,12 +7,12 @@
 //     -> route (escrow affinity byte -> owning shard: its ledger
 //        stripes, commit queue, receipt cache and stats are private, so
 //        traffic on unrelated escrows never contends)
-//     -> verify (opportunistic micro-batch: concurrently in-flight
-//        signature jobs coalesce into one crypto::batch_verify that
-//        warms the global SigCache — bounded wait, zero added latency
-//        when serving single-threaded)
-//     -> evaluate (MerchantService::evaluate_against — const, reentrant,
-//        signature checks hit the SigCache warmed above)
+//     -> evaluate (MerchantService::check_terms — const, reentrant:
+//        invoice, amount, escrow health and coverage, no crypto)
+//     -> verify (MerchantService::verify_payment — binding + input
+//        signatures through crypto::verify_signature: SigCache, then the
+//        per-pubkey precomp cache, then a cold GLV verify, on the serving
+//        thread itself)
 //     -> reserve (ReservationLedger::try_reserve on the shard's ledger —
 //        the per-escrow serialization point; two racing fast-pays cannot
 //        overcommit one escrow)
@@ -49,9 +49,9 @@
 
 #include "btcfast/merchant.h"
 #include "common/thread_pool.h"
+#include "crypto/sigcache.h"
 #include "gateway/reservation_ledger.h"
 #include "gateway/stats.h"
-#include "gateway/verify_batcher.h"
 #include "gateway/wire.h"
 #include "store/recovery.h"
 
@@ -81,21 +81,35 @@ struct GatewayConfig {
   /// owns its ledger stripes, commit queue, receipt cache and stats;
   /// responses are byte-identical for any value.
   std::size_t shards = 8;
-  /// Hot-path verify micro-batching: a leader collects up to this many
-  /// concurrently submitted signature jobs before flushing one
-  /// batch_verify. 0 disables the prefetch stage entirely (evaluate
-  /// verifies inline, as before).
-  std::size_t verify_batch_max = 64;
-  /// Bounded window the batch leader waits for followers. Only applies
-  /// when more than one request is in flight — single-threaded serving
-  /// never waits.
-  std::uint64_t verify_batch_wait_us = 100;
   /// Bound on the process-wide per-pubkey GLV precomp table cache
   /// (entries are ~18 KiB, so the default 512 keys is ~9 MiB). Applied
-  /// to crypto::PubkeyPrecompCache::global() at construction; 0 disables
-  /// precomp caching entirely (verifies still run the GLV fast path,
-  /// just with per-call tables).
+  /// to crypto::PubkeyPrecompCache::global() at construction (the global
+  /// cache is off until then); 0 disables precomp caching entirely
+  /// (verifies still run the GLV fast path, just with per-call tables).
   std::size_t pubkey_precomp_max = crypto::PubkeyPrecompCache::kDefaultMaxEntries;
+};
+
+/// Counters of serve_batch's verify pass: one crypto::batch_verify per
+/// call over the signature jobs of every submit frame in it (relaxed;
+/// for stats and benches).
+class VerifyPassStats {
+ public:
+  void on_pass(std::size_t jobs) noexcept {
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    jobs_.fetch_add(jobs, std::memory_order_relaxed);
+  }
+  /// Non-empty verify passes run.
+  [[nodiscard]] std::uint64_t batches() const noexcept {
+    return batches_.load(std::memory_order_relaxed);
+  }
+  /// Signature jobs verified across those passes.
+  [[nodiscard]] std::uint64_t coalesced_jobs() const noexcept {
+    return jobs_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> jobs_{0};
 };
 
 class Gateway {
@@ -143,10 +157,11 @@ class Gateway {
   /// Asynchronous serve on the thread pool.
   [[nodiscard]] std::future<Bytes> submit(Bytes frame_bytes, std::uint64_t now_ms);
 
-  /// Bulk intake: one parallel batch-verify pass warms the signature
-  /// cache across every submit frame (reusing the fast-verify engine),
-  /// then frames are served in order. Responses are index-aligned and
-  /// identical to serving sequentially — for any pool size.
+  /// Bulk intake: one parallel batch-verify pass over every submit
+  /// frame's signature jobs (MerchantService::collect_sig_checks) warms
+  /// the verify caches, then frames are served in order. Responses are
+  /// index-aligned and identical to serving sequentially — for any pool
+  /// size.
   [[nodiscard]] std::vector<Bytes> serve_batch(const std::vector<Bytes>& frames,
                                                std::uint64_t now_ms);
 
@@ -189,7 +204,8 @@ class Gateway {
   [[nodiscard]] std::uint64_t reservations_expired() const noexcept;
 
   [[nodiscard]] std::size_t commit_queue_depth() const;
-  [[nodiscard]] const VerifyBatcher& batcher() const noexcept { return batcher_; }
+  /// serve_batch's verify-pass counters.
+  [[nodiscard]] const VerifyPassStats& batcher() const noexcept { return verify_pass_; }
 
   /// Mirror the TCP front end's counters into the stats JSON (gauge
   /// slots on the front stats, same pattern as the store metrics). The
@@ -221,8 +237,9 @@ class Gateway {
   };
 
   /// Everything one escrow-affinity shard owns. Requests for different
-  /// shards share nothing on the hot path except the global SigCache,
-  /// the in-flight counter and the reservation-id counter (all atomic).
+  /// shards share nothing on the hot path except the global verify
+  /// caches (sharded), the in-flight counter and the reservation-id
+  /// counter (atomic).
   struct Shard {
     Shard(std::size_t stripes, std::atomic<ReservationId>& ids) : ledger(stripes, &ids) {}
 
@@ -274,7 +291,7 @@ class Gateway {
   /// Admission-front counters: sheds, top-level malformed frames, and
   /// the live queue depth (work that hasn't been routed to a shard yet).
   GatewayStats front_stats_;
-  VerifyBatcher batcher_;
+  VerifyPassStats verify_pass_;
 
   std::atomic<std::size_t> inflight_{0};
   /// Accepts queued across all shards but not yet applied; bounds the

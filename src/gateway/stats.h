@@ -50,8 +50,8 @@ class LatencyHistogram {
 
 /// Pipeline stages instrumented with per-stage latency histograms, so a
 /// p99 blow-up is attributable to decode vs verify vs WAL without a
-/// profiler. kVerify covers the opportunistic micro-batch prefetch,
-/// kEvaluate the merchant decision core, kCommit the queue handoff,
+/// profiler. kEvaluate covers the merchant's terms/coverage check,
+/// kVerify its signature and input checks, kCommit the queue handoff,
 /// kRespond receipt recording + frame encoding.
 enum class Stage : std::size_t {
   kDecode = 0,

@@ -35,7 +35,7 @@ bool HostContext::ecdsa_verify(ByteSpan pubkey33, const crypto::Sha256Digest& di
   // Gas is charged before (and independently of) the signature cache, so
   // contract execution costs are identical whether the triple is cached.
   meter_.charge(meter_.schedule().ecdsa_verify);
-  return crypto::ecdsa_verify_cached(&crypto::SigCache::global(), pubkey33, digest, signature64);
+  return crypto::verify_signature(pubkey33, digest, signature64);
 }
 
 bool HostContext::transfer_out(const Address& to, Value amount) {

@@ -25,12 +25,12 @@
 #include "btcfast/customer.h"
 #include "btcfast/orchestrator.h"
 #include "common/thread_pool.h"
+#include "crypto/batch_verify.h"
 #include "crypto/ecdsa.h"
 #include "crypto/sha256.h"
 #include "crypto/sigcache.h"
 #include "gateway/pipeline.h"
 #include "gateway/reservation_ledger.h"
-#include "gateway/verify_batcher.h"
 #include "gateway/wire.h"
 #include "net/frame_assembler.h"
 #include "net/server.h"
@@ -339,45 +339,53 @@ TEST(ConcurrencyTest, LedgerReserveReleaseChurn) {
   }
 }
 
-// The gateway's hot-path verify micro-batcher under contention: N
-// threads submit small job batches (mixed valid/invalid signatures)
-// with the coalescing window open. Whoever leads, every caller must get
-// back the correct verdict for ITS jobs in ITS order, and exactly the
-// valid triples must land in the cache.
-TEST(ConcurrencyTest, VerifyBatcherHammer) {
-  const auto key = crypto::PrivateKey::from_scalar(crypto::U256{0xba7c4});
-  ASSERT_TRUE(key.has_value());
-  const auto pub = crypto::PublicKey::derive(*key);
-  const auto pub_bytes = pub.serialize();
-
+// The two verify entries the serving path mixes, racing on shared caches:
+// serve_batch's batch_verify passes (on a worker pool) and the per-request
+// single checks (ecdsa_verify_cached, as crypto::verify_signature runs it)
+// over the same SigCache and PubkeyPrecompCache, across a few keys and a
+// mix of valid and corrupt signatures. Every caller must get the correct
+// verdict for its own jobs in its own order, and exactly the valid
+// triples must land in the cache.
+TEST(ConcurrencyTest, BatchAndSingleVerifyShareCaches) {
+  constexpr int kKeys = 3;
   constexpr int kMessages = 24;
   std::vector<crypto::SigCheckJob> jobs(kMessages);
   for (int i = 0; i < kMessages; ++i) {
+    const auto key = *crypto::PrivateKey::from_scalar(crypto::U256(0xba7c4 + i % kKeys));
     crypto::Sha256Digest d{};
     d[0] = static_cast<std::uint8_t>(i);
     d[1] = 0x77;
-    jobs[static_cast<std::size_t>(i)].digest = d;
-    jobs[static_cast<std::size_t>(i)].pubkey = pub_bytes;
-    auto sig = crypto::ecdsa_sign(*key, d).serialize();
-    if (i % 3 == 2) sig[11] ^= 0x01;  // corrupt every 3rd signature
-    jobs[static_cast<std::size_t>(i)].sig = sig;
+    auto& job = jobs[static_cast<std::size_t>(i)];
+    job.digest = d;
+    job.pubkey = crypto::PublicKey::derive(key).serialize();
+    job.sig = crypto::ecdsa_sign(key, d).serialize();
+    if (i % 3 == 2) job.sig[11] ^= 0x01;  // corrupt every 3rd signature
   }
 
   common::ThreadPool pool(2);
   crypto::SigCache cache(1 << 12);
-  gateway::VerifyBatcher batcher(pool, &cache, {/*max_batch=*/16, /*max_wait_us=*/200});
-
+  crypto::PubkeyPrecompCache pre(8);
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 30; ++round) {
-        // Each call submits a 3-job slice starting at a thread-dependent
-        // offset, so concurrent batches interleave different job mixes.
+        // A 3-job slice at a thread-dependent offset: even threads verify
+        // it as one batch, odd threads one signature at a time.
         const int base = (static_cast<int>(t) + round) % (kMessages - 3);
-        std::vector<crypto::SigCheckJob> slice(jobs.begin() + base, jobs.begin() + base + 3);
-        const auto verdicts = batcher.verify(std::move(slice), /*allow_wait=*/true);
+        const std::vector<crypto::SigCheckJob> slice(jobs.begin() + base,
+                                                     jobs.begin() + base + 3);
+        std::vector<std::uint8_t> verdicts;
+        if (t % 2 == 0) {
+          verdicts = crypto::batch_verify(pool, slice, &cache, &pre);
+        } else {
+          for (const auto& job : slice) {
+            verdicts.push_back(crypto::ecdsa_verify_cached(&cache, {job.pubkey.data(), 33},
+                                                           job.digest, {job.sig.data(), 64},
+                                                           &pre));
+          }
+        }
         if (verdicts.size() != 3) {
           wrong.fetch_add(1, std::memory_order_relaxed);
           continue;
@@ -401,8 +409,6 @@ TEST(ConcurrencyTest, VerifyBatcherHammer) {
                                               {job.sig.data(), job.sig.size()});
     EXPECT_EQ(cache.contains(k), i % 3 != 2) << "job " << i;
   }
-  EXPECT_GT(batcher.batches(), 0u);
-  EXPECT_EQ(batcher.jobs_verified(), static_cast<std::uint64_t>(kThreads) * 30 * 3);
 }
 
 // Multiple per-shard ledgers drawing from ONE shared id counter — the

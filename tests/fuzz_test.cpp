@@ -134,7 +134,7 @@ TEST_P(ParserFuzz, BitFlippedValidMessagesHandled) {
     // the mutation missed all signed bytes.
     if (auto parsed = core::FastPayPackage::deserialize(mutated)) {
       if (parsed->binding.binding != pkg.binding.binding) {
-        EXPECT_FALSE(parsed->binding.verify(party.pub));
+        EXPECT_FALSE(parsed->binding.verify(party.pub.serialize()));
       }
     }
   }

@@ -6,6 +6,9 @@
 #include <limits>
 
 #include "btcfast/orchestrator.h"
+#include "common/thread_pool.h"
+#include "crypto/batch_verify.h"
+#include "crypto/sigcache.h"
 
 namespace btcfast::core {
 namespace {
@@ -124,6 +127,59 @@ TEST_F(MerchantUnit, BadPaymentSignatureRejected) {
                                       pkg.binding.binding.signing_digest());
   pkg.binding.customer_sig = sig.serialize();
   EXPECT_NE(eval().reason.find("signature invalid"), std::string::npos);
+}
+
+TEST_F(MerchantUnit, UndecodableEscrowKeyRejectedAsBadCustomerKey) {
+  // verify_payment decompresses the escrow key only after the binding
+  // check fails; the reason code must still name the key, not the
+  // signature.
+  auto escrow = dep->merchant().escrow_view(dep->customer().escrow_id());
+  ASSERT_TRUE(escrow.has_value());
+  escrow->customer_btc_key[0] = 0x05;  // no such compressed-point prefix
+  const auto d = dep->merchant().verify_payment(pkg, *escrow);
+  EXPECT_FALSE(d.accepted);
+  EXPECT_EQ(d.code, RejectReason::kBadCustomerKey);
+}
+
+TEST_F(MerchantUnit, SigChecksMatchWhatVerifyPaymentChecks) {
+  // collect_sig_checks lists the binding (under the escrow key) and the
+  // one payment input; all verify, and an unknown escrow drops only the
+  // binding job.
+  const auto escrow = dep->merchant().escrow_view(dep->customer().escrow_id());
+  ASSERT_TRUE(escrow.has_value());
+  std::vector<crypto::SigCheckJob> jobs;
+  dep->merchant().collect_sig_checks(pkg, escrow, jobs);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].pubkey, escrow->customer_btc_key);
+  EXPECT_EQ(jobs[0].digest, pkg.binding.binding.signing_digest());
+  EXPECT_EQ(jobs[1].sig, pkg.payment_tx.inputs[0].script_sig.signature);
+  common::ThreadPool inline_pool(0);
+  EXPECT_EQ(crypto::batch_verify(inline_pool, jobs, nullptr), (std::vector<std::uint8_t>{1, 1}));
+
+  jobs.clear();
+  dep->merchant().collect_sig_checks(pkg, std::nullopt, jobs);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].sig, pkg.payment_tx.inputs[0].script_sig.signature);
+}
+
+TEST_F(MerchantUnit, InlineVerifyUsesPrecompCache) {
+  // The merchant's own signature checks go through the per-pubkey precomp
+  // cache: the first package's two checks under the customer key build
+  // the key's tables, and a second package verifies from them.
+  crypto::SigCache::global().clear();
+  crypto::PubkeyPrecompCache::global().set_capacity(crypto::PubkeyPrecompCache::kDefaultMaxEntries);
+  crypto::PubkeyPrecompCache::global().clear();
+  const auto before = crypto::PubkeyPrecompCache::global().stats();
+  ASSERT_TRUE(eval().accepted);
+  EXPECT_GE(crypto::PubkeyPrecompCache::global().stats().insertions, before.insertions + 1);
+
+  const auto coins =
+      sim::find_spendable(dep->customer_node().chain(), dep->customer().btc_identity().script);
+  pkg = dep->customer().create_fastpay(invoice, coins[1].first, coins[1].second.out.value, now,
+                                       dep->config().binding_ttl_ms);
+  const auto warm = crypto::PubkeyPrecompCache::global().stats();
+  ASSERT_TRUE(eval().accepted);
+  EXPECT_GE(crypto::PubkeyPrecompCache::global().stats().hits, warm.hits + 2);
 }
 
 TEST_F(MerchantUnit, ExposureAccumulatesAcrossAccepts) {
@@ -262,7 +318,7 @@ TEST(ProtocolUnit, PackageSerializationRoundTrip) {
   EXPECT_EQ(back->payment_tx, pkg.payment_tx);
   EXPECT_EQ(back->binding, pkg.binding);
   // The decoded binding still verifies.
-  EXPECT_TRUE(back->binding.verify(dep.customer().btc_identity().pub));
+  EXPECT_TRUE(back->binding.verify(dep.customer().btc_identity().pub.serialize()));
 }
 
 TEST(ProtocolUnit, BindingDigestDomainSeparated) {

@@ -129,16 +129,33 @@ TEST(SigCache, NullCacheDegradesToPlainVerify) {
                                    {bad.sig.data(), bad.sig.size()}));
 }
 
-TEST(SigCache, ParsedKeyOverloadSharesEntries) {
-  SigCache cache;
-  const auto t = make_valid_triple(6);
-  const auto pub = *PublicKey::parse({t.pubkey.data(), t.pubkey.size()});
-  // Insert via the span overload, hit via the parsed-key overload.
-  ASSERT_TRUE(check(cache, t));
-  cache.reset_stats();
-  EXPECT_TRUE(ecdsa_verify_cached(&cache, pub, t.digest, {t.sig.data(), t.sig.size()}));
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 0u);
+TEST(SigCache, VerifySignatureUsesBothGlobalCaches) {
+  // The production entry consults the global SigCache, then the global
+  // precomp tables: a key's second valid sighting builds its tables, the
+  // third verifies from them, and a repeated triple is a SigCache hit.
+  SigCache::global().clear();
+  PubkeyPrecompCache::global().set_capacity(PubkeyPrecompCache::kDefaultMaxEntries);
+  PubkeyPrecompCache::global().clear();
+  const auto key = *PrivateKey::from_scalar(U256{0x51a9});
+  const auto pub = PublicKey::derive(key).serialize();
+  auto verify = [&](std::uint8_t msg, bool corrupt) {
+    Sha256Digest d{};
+    d[0] = msg;
+    auto sig = ecdsa_sign(key, d).serialize();
+    if (corrupt) sig[5] ^= 0x01;
+    return verify_signature({pub.data(), pub.size()}, d, {sig.data(), sig.size()});
+  };
+  const auto sig0 = SigCache::global().stats();
+  const auto pre0 = PubkeyPrecompCache::global().stats();
+  EXPECT_TRUE(verify(1, false));
+  EXPECT_TRUE(verify(2, false));
+  EXPECT_EQ(PubkeyPrecompCache::global().stats().insertions - pre0.insertions, 1u);
+  EXPECT_TRUE(verify(3, false));
+  EXPECT_EQ(PubkeyPrecompCache::global().stats().hits - pre0.hits, 1u);
+  EXPECT_TRUE(verify(3, false));
+  EXPECT_EQ(SigCache::global().stats().hits - sig0.hits, 1u);
+  EXPECT_FALSE(verify(4, true));  // warm tables still reject a bad signature
+  EXPECT_EQ(SigCache::global().stats().insertions - sig0.insertions, 3u);
 }
 
 TEST(SigCache, RejectsMalformedSizes) {
