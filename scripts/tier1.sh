@@ -37,7 +37,11 @@
 #                      hardware thread count) over the 1-thread run.
 #                      Then build the asan and ubsan trees and run the
 #                      gateway tests plus the wire-decoder fuzz corpus
-#                      (BTCFAST_FUZZ_ITERS=2000) there.
+#                      (BTCFAST_FUZZ_ITERS=2000) there, and build the tsan
+#                      tree and run the gateway, net, concurrency and psc
+#                      suites there (the default serving path is
+#                      concurrent: a Deployment sizes the verify pool to
+#                      the hardware).
 #   --store-smoke      the durability gate: run the full recovery + fault
 #                      suite (store_test) and the WAL/snapshot corruption
 #                      fuzz corpus (BTCFAST_FUZZ_ITERS=2000) under both
@@ -227,6 +231,13 @@ if [[ "$gateway_smoke" == 1 ]]; then
     "build-$san/tests/gateway_test"
     BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
       --gtest_filter='*ParserFuzz*'
+  done
+  echo "== gateway, net, concurrency and psc tests under tsan =="
+  cmake --preset tsan
+  cmake --build --preset tsan -j "$jobs" \
+    --target gateway_test net_test concurrency_test psc_test
+  for t in gateway_test net_test concurrency_test psc_test; do
+    "build-tsan/tests/$t"
   done
   echo "== gateway smoke: clean =="
 fi

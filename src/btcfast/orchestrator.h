@@ -16,6 +16,7 @@
 #include "btcfast/watchtower.h"
 #include "btcsim/attacker.h"
 #include "btcsim/miner.h"
+#include "common/thread_pool.h"
 #include "store/recovery.h"
 
 namespace btcfast::core {
@@ -71,12 +72,16 @@ struct DeploymentConfig {
   /// scenario fuzzer lowers it to afford hundreds of deployments per run.
   btc::ChainParams params = btc::ChainParams::regtest();
 
-  /// Worker threads for the verification engine (batch signature checks,
-  /// parallel evidence PoW hashing). 0 = inline execution on the calling
-  /// thread — the deterministic baseline. Decisions and gas accounting are
-  /// identical for every value; only wall-clock changes. Applied to the
-  /// process-global pool at Deployment construction.
-  std::size_t verify_threads = 0;
+  /// Worker threads for the verification engine (serve_batch's and
+  /// evaluate_fastpay_batch's batch signature checks, flush_accepted's
+  /// record encode, parallel evidence PoW hashing). Defaults to one
+  /// worker per hardware thread but the caller's
+  /// (ThreadPool::hardware_workers()), so the composed serving stack uses
+  /// every core. 0 = inline execution on the calling thread. Responses,
+  /// decisions and gas accounting are identical for every value; only
+  /// wall-clock changes. Applied to the process-global pool at Deployment
+  /// construction.
+  std::size_t verify_threads = common::ThreadPool::hardware_workers();
 };
 
 /// Result of one fast payment attempt.

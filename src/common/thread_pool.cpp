@@ -130,6 +130,10 @@ std::unique_ptr<ThreadPool>& global_slot() {
 
 }  // namespace
 
+std::size_t ThreadPool::hardware_workers() noexcept {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency()) - 1;
+}
+
 ThreadPool& ThreadPool::global() { return *global_slot(); }
 
 void ThreadPool::configure_global(std::size_t threads) {

@@ -61,7 +61,13 @@ class ThreadPool {
   /// every in-flight helper has finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Process-wide pool, sized by configure_global() (default: inline).
+  /// One worker per hardware thread except the caller's (which joins
+  /// every parallel_for): max(1, hardware_concurrency()) - 1, so 0 — the
+  /// inline pool — on a single-thread machine.
+  [[nodiscard]] static std::size_t hardware_workers() noexcept;
+
+  /// Process-wide pool, sized by configure_global(). Inline until a
+  /// caller sizes it (core::Deployment does, from its verify_threads).
   [[nodiscard]] static ThreadPool& global();
   /// Replace the global pool's size. Not thread-safe against concurrent
   /// global() users — call during setup only.

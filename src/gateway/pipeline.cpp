@@ -421,13 +421,18 @@ std::future<Bytes> Gateway::submit(Bytes frame_bytes, std::uint64_t now_ms) {
 std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
   // Phase 1 (parallel): pre-verify every signature the sequential serves
   // below would check, warming the global caches — the same pass
-  // MerchantService::evaluate_fastpay_batch runs.
+  // MerchantService::evaluate_fastpay_batch runs. Timed as the
+  // kVerifyPass stage, its wall time split evenly across the submit
+  // frames it covered.
+  const auto pass_start = Clock::now();
   std::vector<crypto::SigCheckJob> jobs;
+  std::uint64_t submits = 0;
   for (const auto& bytes : frames) {
     const auto frame = Frame::deserialize(bytes);
     if (!frame || frame->type != MsgType::kSubmitFastPay) continue;
     const auto req = SubmitFastPayRequest::deserialize(frame->payload);
     if (!req) continue;
+    ++submits;
     merchant_.collect_sig_checks(req->package, escrow_for(req->package.binding.binding.escrow_id),
                                  jobs);
   }
@@ -435,6 +440,10 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
     (void)crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
                                &crypto::PubkeyPrecompCache::global());
     verify_pass_.on_pass(jobs.size());
+  }
+  if (submits > 0) {
+    const std::uint64_t share_us = (elapsed_us(pass_start) + submits / 2) / submits;
+    for (std::uint64_t i = 0; i < submits; ++i) front_stats_.on_stage(Stage::kVerifyPass, share_us);
   }
 
   // Phase 2 (sequential): decisions in input order — identical responses

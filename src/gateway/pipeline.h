@@ -161,7 +161,8 @@ class Gateway {
   /// frame's signature jobs (MerchantService::collect_sig_checks) warms
   /// the verify caches, then frames are served in order. Responses are
   /// index-aligned and identical to serving sequentially — for any pool
-  /// size.
+  /// size. The pass is timed as Stage::kVerifyPass (one sample per submit
+  /// frame, each an even share of the pass).
   [[nodiscard]] std::vector<Bytes> serve_batch(const std::vector<Bytes>& frames,
                                                std::uint64_t now_ms);
 

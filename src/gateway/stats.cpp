@@ -66,6 +66,7 @@ const char* stage_name(Stage stage) noexcept {
     case Stage::kWal: return "wal";
     case Stage::kCommit: return "commit";
     case Stage::kRespond: return "respond";
+    case Stage::kVerifyPass: return "verify_pass";
   }
   return "unknown";
 }

@@ -52,7 +52,10 @@ class LatencyHistogram {
 /// p99 blow-up is attributable to decode vs verify vs WAL without a
 /// profiler. kEvaluate covers the merchant's terms/coverage check,
 /// kVerify its signature and input checks, kCommit the queue handoff,
-/// kRespond receipt recording + frame encoding.
+/// kRespond receipt recording + frame encoding. kVerifyPass is
+/// serve_batch's batch-verify pass ahead of the per-frame stages: its
+/// wall time is split evenly across the submit frames it covered, one
+/// sample per frame.
 enum class Stage : std::size_t {
   kDecode = 0,
   kVerify,
@@ -61,8 +64,9 @@ enum class Stage : std::size_t {
   kWal,
   kCommit,
   kRespond,
+  kVerifyPass,
 };
-inline constexpr std::size_t kStageCount = 7;
+inline constexpr std::size_t kStageCount = 8;
 
 [[nodiscard]] const char* stage_name(Stage stage) noexcept;
 

@@ -24,7 +24,7 @@ void PscChain::produce_block(std::uint64_t time_ms) {
   auto batch = std::move(pending_);
   pending_.clear();
   for (auto& [id, tx] : batch) {
-    Receipt r = execute_tx(tx, id, state_, &all_logs_);
+    Receipt r = execute_tx(tx, id, &all_logs_);
     total_gas_used_ += r.gas_used;
     receipts_.push_back(std::move(r));
   }
@@ -37,15 +37,16 @@ Receipt PscChain::execute_now(const PscTx& tx, std::uint64_t time_ms) {
 }
 
 Receipt PscChain::view_call(const PscTx& tx) const {
-  WorldState scratch = state_;  // copy; views never commit
-  // const_cast-free: execute against the scratch with a non-recording
-  // logger via a local copy of *this's contract table (shared_ptr'd).
+  // Logically const: the frame, never committed, restores the state
+  // exactly on every exit, exceptions included.
   PscChain* self = const_cast<PscChain*>(this);
-  return self->execute_tx(tx, /*tx_id=*/~0ULL, scratch, nullptr);
+  const JournalFrame view(self->state_);
+  return self->execute_tx(tx, /*tx_id=*/~0ULL, nullptr);
 }
 
-Receipt PscChain::execute_tx(const PscTx& tx, std::uint64_t tx_id, WorldState& state,
+Receipt PscChain::execute_tx(const PscTx& tx, std::uint64_t tx_id,
                              std::vector<LogEvent>* log_sink) {
+  WorldState& state = state_;
   Receipt r;
   r.tx_id = tx_id;
   r.block_number = block_number_;
@@ -75,7 +76,7 @@ Receipt PscChain::execute_tx(const PscTx& tx, std::uint64_t tx_id, WorldState& s
   // the world — copying scales with total accounts × storage and melts
   // down under a mass-dispute storm, while the journal scales with the
   // handful of entries one transaction touches.
-  state.journal_begin();
+  JournalFrame frame(state);
   bool success = true;
   std::string reason;
   Bytes ret;
@@ -107,11 +108,11 @@ Receipt PscChain::execute_tx(const PscTx& tx, std::uint64_t tx_id, WorldState& s
   }
 
   if (!success) {
-    state.journal_revert();  // revert value transfer and all contract effects
+    frame.revert();  // revert value transfer and all contract effects
     logs.clear();
     ret.clear();
   } else {
-    state.journal_commit();
+    frame.commit();
   }
 
   // Fee is charged even on revert; gas burnt goes to the sink.

@@ -72,9 +72,13 @@ class PscChain {
   /// Convenience for tests: submit + produce a block immediately.
   Receipt execute_now(const PscTx& tx, std::uint64_t time_ms);
 
-  /// Read-only call against a scratch copy of the state (free, like
-  /// eth_call). Returns the receipt (gas_used reflects what it *would*
-  /// cost); world state is untouched.
+  /// Read-only call (free, like eth_call). Returns the receipt (gas_used
+  /// reflects what it *would* cost); world state is untouched. Runs in
+  /// place inside a journal frame that is always reverted, so it costs
+  /// the entries the call touches, not a copy of the world — and it is
+  /// not reentrant: the state is mutated while the call runs, so no other
+  /// thread may use this chain concurrently (the gateway serializes its
+  /// lazy escrow fetches for this reason).
   [[nodiscard]] Receipt view_call(const PscTx& tx) const;
 
   [[nodiscard]] const Receipt& receipt(std::uint64_t tx_id) const { return receipts_.at(tx_id); }
@@ -105,8 +109,7 @@ class PscChain {
   [[nodiscard]] Gas total_gas_used() const noexcept { return total_gas_used_; }
 
  private:
-  Receipt execute_tx(const PscTx& tx, std::uint64_t tx_id, WorldState& state,
-                     std::vector<LogEvent>* log_sink);
+  Receipt execute_tx(const PscTx& tx, std::uint64_t tx_id, std::vector<LogEvent>* log_sink);
 
   Config config_;
   WorldState state_;

@@ -21,7 +21,7 @@ bool WorldState::sub_balance(const Address& a, Value v) {
 }
 
 void WorldState::note_account(const Address& a) {
-  if (!journaling_) return;
+  if (journal_marks_.empty()) return;
   Undo u;
   u.kind = Undo::Kind::kAccount;
   u.addr = a;
@@ -32,14 +32,15 @@ void WorldState::note_account(const Address& a) {
 }
 
 void WorldState::note_slot(const Address& contract, const Slot& key) {
-  if (!journaling_) return;
+  if (journal_marks_.empty()) return;
   Undo u;
   u.kind = Undo::Kind::kSlot;
   u.addr = contract;
   u.key = key;
   u.existed = false;
   const auto cit = storage_.find(contract);
-  if (cit != storage_.end()) {
+  u.map_existed = cit != storage_.end();
+  if (u.map_existed) {
     const auto sit = cit->second.find(key);
     if (sit != cit->second.end()) {
       u.existed = true;
@@ -49,38 +50,39 @@ void WorldState::note_slot(const Address& contract, const Slot& key) {
   journal_.push_back(std::move(u));
 }
 
-void WorldState::journal_begin() {
-  journal_.clear();
-  journaling_ = true;
-}
+void WorldState::journal_begin() { journal_marks_.push_back(journal_.size()); }
 
 void WorldState::journal_commit() noexcept {
-  journaling_ = false;
-  journal_.clear();
+  journal_marks_.pop_back();
+  // An inner frame's records stay: the enclosing frame may still revert.
+  if (journal_marks_.empty()) journal_.clear();
 }
 
 void WorldState::journal_revert() {
-  journaling_ = false;
-  // Reverse order: when a transaction touched the same entry repeatedly,
-  // the oldest record is applied last and wins, restoring the pre-image
-  // from journal_begin().
-  for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-    if (it->kind == Undo::Kind::kAccount) {
-      if (it->existed) {
-        accounts_[it->addr] = it->account;
+  const std::size_t mark = journal_marks_.back();
+  journal_marks_.pop_back();
+  // Reverse order: when the frame touched the same entry repeatedly, the
+  // oldest record is applied last and wins, restoring the pre-image from
+  // journal_begin().
+  for (std::size_t i = journal_.size(); i-- > mark;) {
+    const Undo& u = journal_[i];
+    if (u.kind == Undo::Kind::kAccount) {
+      if (u.existed) {
+        accounts_[u.addr] = u.account;
       } else {
-        accounts_.erase(it->addr);
+        accounts_.erase(u.addr);
       }
-    } else {
-      Storage& store = storage_[it->addr];
-      if (it->existed) {
-        store[it->key] = it->value;
-      } else {
-        store.erase(it->key);
-      }
+    } else if (u.existed) {
+      storage_[u.addr][u.key] = u.value;
+    } else if (const auto cit = storage_.find(u.addr); cit != storage_.end()) {
+      cit->second.erase(u.key);
+      // Storage maps are never erased going forward, so the record that
+      // created this one is the contract's oldest in the frame: once it
+      // is undone, the map is back to not existing.
+      if (!u.map_existed) storage_.erase(cit);
     }
   }
-  journal_.clear();
+  journal_.resize(mark);
 }
 
 Value WorldState::total_balance() const noexcept {

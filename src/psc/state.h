@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crypto/uint256.h"
@@ -18,6 +19,8 @@ using Value = std::uint64_t;
 struct AccountState {
   Value balance = 0;
   std::uint64_t nonce = 0;
+
+  bool operator==(const AccountState&) const noexcept = default;
 };
 
 /// 32-byte storage slot key/value.
@@ -48,14 +51,21 @@ class WorldState {
   // whole world (which scales with total accounts × storage — ruinous
   // under a mass-dispute storm), record the pre-image of every account
   // and slot the transaction touches and undo them in reverse order.
-  /// Start recording pre-images. Discards any stale journal.
+  // Frames nest: each journal_begin() pushes a mark, and commit/revert
+  // close the innermost frame. An inner commit keeps its records in the
+  // enclosing frame, so an outer revert still undoes them.
+  /// Open a frame: record pre-images from here on.
   void journal_begin();
-  /// Stop recording and keep all changes.
+  /// Close the innermost frame and keep its changes (the outermost commit
+  /// drops the records).
   void journal_commit() noexcept;
-  /// Stop recording and roll every journaled mutation back, restoring the
-  /// exact map contents from journal_begin() — entries created since then
-  /// are erased, not zeroed.
+  /// Close the innermost frame and roll every mutation since its
+  /// journal_begin() back, restoring the exact map contents — entries
+  /// (and contract storage maps) created since then are erased, not
+  /// zeroed.
   void journal_revert();
+  /// Open frames.
+  [[nodiscard]] std::size_t journal_depth() const noexcept { return journal_marks_.size(); }
 
   // --- contract storage ---
   [[nodiscard]] Slot storage_load(const Address& contract, const Slot& key) const;
@@ -70,6 +80,12 @@ class WorldState {
   /// total ever minted at all times (testkit invariant #1).
   [[nodiscard]] Value total_balance() const noexcept;
 
+  /// Same accounts and contract storage, entry for entry (empty storage
+  /// maps included); open journal frames are not compared.
+  [[nodiscard]] bool operator==(const WorldState& o) const {
+    return accounts_ == o.accounts_ && storage_ == o.storage_;
+  }
+
  private:
   struct SlotKeyHasher {
     std::size_t operator()(const Slot& s) const noexcept {
@@ -82,6 +98,7 @@ class WorldState {
     enum class Kind : std::uint8_t { kAccount, kSlot };
     Kind kind;
     bool existed;   ///< entry was present before the mutation
+    bool map_existed = true;  ///< kSlot: the contract's storage map was present
     Address addr;   ///< account, or owning contract for kSlot
     AccountState account{};  ///< pre-image (kAccount, existed)
     Slot key{};              ///< slot key (kSlot)
@@ -94,7 +111,28 @@ class WorldState {
   std::unordered_map<Address, AccountState, AddressHasher> accounts_;
   std::unordered_map<Address, Storage, AddressHasher> storage_;
   std::vector<Undo> journal_;
-  bool journaling_ = false;
+  std::vector<std::size_t> journal_marks_;  ///< journal_ size at each open frame
+};
+
+/// Scoped journal frame: opens on construction and, unless commit() or
+/// revert() closed it first, reverts on destruction — so an exception
+/// unwinding through the frame leaves the world as it found it. (A
+/// revert that cannot allocate to re-insert an erased entry terminates:
+/// a half-restored world must not outlive the frame.)
+class JournalFrame {
+ public:
+  explicit JournalFrame(WorldState& state) : state_(&state) { state.journal_begin(); }
+  ~JournalFrame() {
+    if (state_ != nullptr) state_->journal_revert();
+  }
+  JournalFrame(const JournalFrame&) = delete;
+  JournalFrame& operator=(const JournalFrame&) = delete;
+
+  void commit() noexcept { std::exchange(state_, nullptr)->journal_commit(); }
+  void revert() { std::exchange(state_, nullptr)->journal_revert(); }
+
+ private:
+  WorldState* state_;
 };
 
 }  // namespace btcfast::psc

@@ -471,7 +471,7 @@ TEST(ConcurrencyTest, ShardedLedgersShareOneIdSpace) {
 }
 
 // The TCP front end against real concurrency: the server loop on its own
-// thread (gateway verify behind a real pool), N loopback client threads
+// thread (gateway verify behind the default pool), N loopback client threads
 // each submitting its own distinct fast-pay packages with connection
 // churn — one connection per package, opened, pipelined, drained,
 // closed. Afterwards the client-side view must reconcile exactly with
@@ -503,8 +503,10 @@ TEST(ConcurrencyTest, NetworkLoopbackChurnHammer) {
                                                  dep.config().binding_ttl_ms));
   }
 
-  common::ThreadPool pool(2);  // real parallelism behind serve_batch
-  gateway::Gateway gw(dep.merchant(), pool, {});
+  // serve_batch on the global pool as the Deployment sized it by default
+  // (one worker per hardware thread but the caller's): the shipped
+  // serving configuration, with real parallelism on any multi-core host.
+  gateway::Gateway gw(dep.merchant(), common::ThreadPool::global(), {});
   for (const auto& inv : invoices) gw.register_invoice(inv);
   gw.track_escrow(dep.customer().escrow_id());
 

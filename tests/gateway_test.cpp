@@ -724,7 +724,8 @@ TEST_F(GatewayUnit, ReceiptCacheBoundedFifo) {
 TEST_F(GatewayUnit, ServeBatchMatchesSequentialServe) {
   // Three frames covering accept, typed reject and unknown invoice; a
   // pooled batch gateway and an inline sequential one must answer
-  // byte-identically (reservation ids included — both ledgers are fresh).
+  // byte-identically (reservation ids included — both ledgers are fresh)
+  // at every pool size, the Deployment default included.
   auto tampered = pkg;
   tampered.binding.customer_sig[3] ^= 0x01;
   SubmitFastPayRequest unknown;
@@ -739,22 +740,30 @@ TEST_F(GatewayUnit, ServeBatchMatchesSequentialServe) {
                  QueryEscrowRequest{dep->customer().escrow_id()}.serialize()),
   };
 
-  common::ThreadPool workers{2};
-  auto batch_gw = std::make_unique<Gateway>(dep->merchant(), workers, GatewayConfig{});
-  batch_gw->register_invoice(invoice);
-  batch_gw->track_escrow(dep->customer().escrow_id());
-  const auto batched = batch_gw->serve_batch(frames, now);
-
   auto seq_gw = make_gateway();
   std::vector<Bytes> sequential;
   for (const auto& f : frames) sequential.push_back(seq_gw->serve(f, now));
 
-  ASSERT_EQ(batched.size(), sequential.size());
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(batched[i], sequential[i]) << "response " << i << " diverged";
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, common::ThreadPool::hardware_workers()}) {
+    common::ThreadPool workers{threads};
+    auto batch_gw = std::make_unique<Gateway>(dep->merchant(), workers, GatewayConfig{});
+    batch_gw->register_invoice(invoice);
+    batch_gw->track_escrow(dep->customer().escrow_id());
+    const auto batched = batch_gw->serve_batch(frames, now);
+
+    ASSERT_EQ(batched.size(), sequential.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(batched[i], sequential[i]) << "response " << i << " diverged, threads " << threads;
+    }
+    const auto st = batch_gw->stats();
+    EXPECT_EQ(st.accepts(), 1u);
+    EXPECT_EQ(st.rejects(), 2u);
+    // The verify pass is charged once per submit frame it covered (the
+    // query is not one).
+    EXPECT_EQ(st.stage(Stage::kVerifyPass).count(), 3u) << "threads " << threads;
   }
-  EXPECT_EQ(batch_gw->stats().accepts(), 1u);
-  EXPECT_EQ(batch_gw->stats().rejects(), 2u);
+  EXPECT_EQ(seq_gw->stats().stage(Stage::kVerifyPass).count(), 0u);
 }
 
 TEST_F(GatewayUnit, ShardedVsUnshardedParity) {
@@ -925,9 +934,11 @@ TEST_F(GatewayUnit, StageHistogramsPopulated) {
   EXPECT_EQ(st.stage(Stage::kWal).count(), 0u);  // no store attached
   EXPECT_EQ(st.stage(Stage::kCommit).count(), 1u);
   EXPECT_EQ(st.stage(Stage::kRespond).count(), 1u);
+  EXPECT_EQ(st.stage(Stage::kVerifyPass).count(), 0u);  // serve() runs no batch pass
   const std::string json = st.to_json();
   EXPECT_NE(json.find("\"stages_us\""), std::string::npos);
   EXPECT_NE(json.find("\"evaluate\""), std::string::npos);
+  EXPECT_NE(json.find("\"verify_pass\""), std::string::npos);
 
   gw->reset_stats();
   EXPECT_EQ(gw->stats().stage(Stage::kDecode).count(), 0u);

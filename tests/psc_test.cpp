@@ -3,6 +3,9 @@
 // transfer, logs and view calls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "common/serialize.h"
 #include "psc/chain.h"
 
@@ -183,9 +186,62 @@ TEST_F(PscFixture, LogsRecordedOnSuccessOnly) {
 
 TEST_F(PscFixture, ViewCallLeavesStateUntouched) {
   ASSERT_TRUE(chain.execute_now(make_call("increment"), 0).success);
-  const Receipt r = chain.view_call(make_call("increment"));
-  EXPECT_TRUE(r.success);
-  // State unchanged by the view.
+  const Address fee_sink = Address::from_label("psc/fee-sink");
+  const Address fresh = chain.deploy("fresh-counter", std::make_unique<Counter>());
+  const WorldState before = chain.state();
+  const std::uint64_t alice_nonce = chain.state().nonce(alice);
+  const Value sink_balance = chain.state().balance(fee_sink);
+  const std::size_t accounts = chain.state().account_count();
+  const Value total = chain.state().total_balance();
+
+  // Each view must return what executing the same transaction on a copy
+  // of the chain returns, and leave the world exactly as it found it.
+  auto check_view = [&](const PscTx& tx, const std::string& what) -> Receipt {
+    PscChain copy = chain;
+    const Receipt want = copy.execute_now(tx, 0);
+    const Receipt got = chain.view_call(tx);
+    EXPECT_EQ(got.success, want.success) << what;
+    EXPECT_EQ(got.revert_reason, want.revert_reason) << what;
+    EXPECT_EQ(got.gas_used, want.gas_used) << what;
+    EXPECT_EQ(got.return_data, want.return_data) << what;
+    EXPECT_EQ(got.logs.size(), want.logs.size()) << what;
+    for (std::size_t i = 0; i < std::min(got.logs.size(), want.logs.size()); ++i) {
+      EXPECT_EQ(got.logs[i].contract, want.logs[i].contract) << what;
+      EXPECT_EQ(got.logs[i].topic, want.logs[i].topic) << what;
+      EXPECT_EQ(got.logs[i].data, want.logs[i].data) << what;
+    }
+    EXPECT_TRUE(chain.state() == before) << what;
+    EXPECT_EQ(chain.state().nonce(alice), alice_nonce) << what;
+    EXPECT_EQ(chain.state().balance(fee_sink), sink_balance) << what;
+    EXPECT_EQ(chain.state().account_count(), accounts) << what;
+    EXPECT_EQ(chain.state().total_balance(), total) << what;
+    EXPECT_EQ(chain.state().journal_depth(), 0u) << what;
+    return got;
+  };
+
+  EXPECT_TRUE(check_view(make_call("increment"), "increment").success);
+  // Storage the view creates — a slot and the contract's whole storage
+  // map — is erased again, not left behind empty.
+  PscTx first_write = make_call("increment");
+  first_write.to = fresh;
+  EXPECT_TRUE(check_view(first_write, "first write to a fresh contract").success);
+  // An account the view creates is erased again too.
+  PscTx transfer;
+  transfer.from = alice;
+  transfer.to = Address::from_label("nobody-yet");
+  transfer.value = 700;
+  EXPECT_TRUE(check_view(transfer, "transfer to a new account").success);
+  // Reverting views: the receipt still carries the fee the call would
+  // burn, but nothing is charged.
+  PscTx spin = make_call("spin");
+  spin.gas_limit = 100'000;
+  const Receipt oog = check_view(spin, "out-of-gas view");
+  EXPECT_FALSE(oog.success);
+  EXPECT_EQ(oog.revert_reason, "out of gas");
+  EXPECT_EQ(oog.gas_used, 100'000u);
+  EXPECT_FALSE(check_view(make_call("fail", {}, 500), "failing view with value").success);
+
+  // State unchanged by the views.
   const Receipt g = chain.execute_now(make_call("get"), 0);
   Reader reader({g.return_data.data(), g.return_data.size()});
   EXPECT_EQ(reader.u64le().value(), 1u);
@@ -233,6 +289,71 @@ TEST(WorldState, StorageLifecycle) {
   EXPECT_EQ(state.storage_load(c, key).low64(), 6u);
   EXPECT_FALSE(state.storage_store(c, key, crypto::U256(0)));  // clear
   EXPECT_TRUE(state.storage_load(c, key).is_zero());
+}
+
+TEST(WorldState, NestedJournalFrames) {
+  WorldState state;
+  const Address a = Address::from_label("a");
+  const Address b = Address::from_label("b");
+  const Address c = Address::from_label("c");
+  const Address d = Address::from_label("d");
+  const Slot k1 = crypto::U256(1);
+  const Slot k2 = crypto::U256(2);
+  state.set_balance(a, 100);
+  ASSERT_TRUE(state.storage_store(c, k1, crypto::U256(5)));
+  const WorldState before = state;
+
+  // Inner commit, then outer revert: the outer revert undoes the inner
+  // frame's committed changes too.
+  state.journal_begin();
+  state.add_balance(a, 1);
+  state.bump_nonce(b);
+  state.journal_begin();
+  EXPECT_EQ(state.journal_depth(), 2u);
+  (void)state.storage_store(c, k1, crypto::U256(6));
+  (void)state.storage_store(c, k2, crypto::U256(7));
+  (void)state.storage_store(d, k1, crypto::U256(8));  // creates d's storage map
+  (void)state.storage_store(Address::from_label("e"), k1, Slot{});  // creates an empty map
+  state.set_balance(b, 9);
+  state.journal_commit();
+  EXPECT_EQ(state.journal_depth(), 1u);
+  EXPECT_EQ(state.storage_load(c, k2).low64(), 7u);
+  EXPECT_EQ(state.balance(b), 9u);
+  state.journal_revert();
+  EXPECT_EQ(state.journal_depth(), 0u);
+  EXPECT_TRUE(state == before);
+  EXPECT_EQ(state.account_count(), 1u);
+
+  // Inner revert, then outer commit: only the outer frame's changes stay.
+  state.journal_begin();
+  state.add_balance(a, 10);
+  (void)state.storage_store(c, k2, crypto::U256(3));
+  const WorldState outer_only = state;
+  state.journal_begin();
+  state.add_balance(a, 1000);
+  state.bump_nonce(b);
+  (void)state.storage_store(c, k2, crypto::U256(4));
+  (void)state.storage_store(c, k1, Slot{});  // erases a slot that existed
+  (void)state.storage_store(d, k2, crypto::U256(1));
+  state.journal_revert();
+  EXPECT_TRUE(state == outer_only);
+  state.journal_commit();
+  EXPECT_EQ(state.journal_depth(), 0u);
+  EXPECT_TRUE(state == outer_only);
+  EXPECT_EQ(state.balance(a), 110u);
+  EXPECT_EQ(state.storage_load(c, k1).low64(), 5u);
+  EXPECT_EQ(state.storage_load(c, k2).low64(), 3u);
+
+  // A frame an exception unwinds through reverts itself.
+  try {
+    const JournalFrame frame(state);
+    state.add_balance(a, 1);
+    state.bump_nonce(d);
+    throw std::runtime_error("unwind");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(state.journal_depth(), 0u);
+  EXPECT_TRUE(state == outer_only);
 }
 
 TEST(GasMeter, ThrowsAtLimit) {

@@ -3,8 +3,10 @@
 // and the 1-vs-N integration guarantee (identical merchant decisions).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "btcfast/orchestrator.h"
@@ -240,17 +242,33 @@ std::vector<core::AcceptDecision> run_batch_intake(std::size_t threads) {
 
 TEST(BatchVerifyIntegration, MerchantDecisionsIdenticalAtOneAndNThreads) {
   const auto inline_run = run_batch_intake(0);
-  const auto pooled_run = run_batch_intake(4);
-  ASSERT_EQ(inline_run.size(), pooled_run.size());
   ASSERT_FALSE(inline_run.empty());
   int rejected = 0;
-  for (std::size_t i = 0; i < inline_run.size(); ++i) {
-    EXPECT_EQ(inline_run[i].accepted, pooled_run[i].accepted) << "package " << i;
-    EXPECT_EQ(inline_run[i].reason, pooled_run[i].reason) << "package " << i;
-    rejected += !inline_run[i].accepted;
-  }
+  for (const auto& d : inline_run) rejected += !d.accepted;
   EXPECT_EQ(rejected, 1);  // exactly the corrupted binding
   EXPECT_FALSE(inline_run[2].accepted);
+  // 1 and 4 workers, plus the Deployment default (one per hardware
+  // thread but the caller's).
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{4}, common::ThreadPool::hardware_workers()}) {
+    const auto pooled_run = run_batch_intake(threads);
+    ASSERT_EQ(inline_run.size(), pooled_run.size()) << "threads " << threads;
+    for (std::size_t i = 0; i < inline_run.size(); ++i) {
+      EXPECT_EQ(inline_run[i].accepted, pooled_run[i].accepted)
+          << "package " << i << " threads " << threads;
+      EXPECT_EQ(inline_run[i].reason, pooled_run[i].reason)
+          << "package " << i << " threads " << threads;
+      EXPECT_EQ(inline_run[i].code, pooled_run[i].code)
+          << "package " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(ThreadPool, HardwareWorkersLeaveTheCallersThread) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(common::ThreadPool::hardware_workers(), hw - 1);
+  // A Deployment sizes the global pool from it by default.
+  EXPECT_EQ(core::DeploymentConfig{}.verify_threads, common::ThreadPool::hardware_workers());
 }
 
 }  // namespace
