@@ -330,7 +330,6 @@ int main() {
   doc.set("per_thread_payments", static_cast<std::uint64_t>(per_thread));
   doc.set("warmup_payments", static_cast<std::uint64_t>(kWarmup));
   doc.set("shards", static_cast<std::uint64_t>(gateway::GatewayConfig{}.shards));
-  doc.set("hw_threads", static_cast<std::uint64_t>(hw_threads));
   doc.set("scale_threads", static_cast<std::uint64_t>(scale_threads));
   doc.set("scale_ratio", scale_ratio);
   doc.set("p99_us_at_max_threads", p99_last);

@@ -346,7 +346,6 @@ int main() {
   doc.set("evidence_mb_per_s_storm", evidence_mb / best_storm.seconds);
   doc.set("speedup", speedup);
   doc.set("gas_parity", gas_match ? "yes" : "no");
-  doc.set("hw_threads", static_cast<std::uint64_t>(hw));
   doc.add_table("storm_thread_fanout", fanout);
   doc.write("BENCH_e14_dispute_storm.json");
   return gas_match ? 0 : 1;

@@ -372,7 +372,6 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   std::printf("\n# batch_verify over pool sizes (%llu distinct-key jobs per batch)\n\n",
               static_cast<unsigned long long>(n_batch));
   batch_threads.print();
-  doc.set("hw_threads", static_cast<std::uint64_t>(hw));
   doc.add_table("batch_verify_threads", batch_threads);
 
   if (!smoke) return sink;

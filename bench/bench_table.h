@@ -4,10 +4,12 @@
 // cross-PR perf trajectories.
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace btcfast::bench {
@@ -115,8 +117,10 @@ class JsonDoc {
 
   /// Write the document atomically (temp file + rename), so a crashed or
   /// interrupted bench never leaves a truncated BENCH_*.json behind and
-  /// concurrent readers only ever observe complete documents. Returns
-  /// false (and prints a warning) on I/O error.
+  /// concurrent readers only ever observe complete documents. Every
+  /// document opens with the machine's `hw_threads`, so a recorded number
+  /// always says what hardware it came from. Returns false (and prints a
+  /// warning) on I/O error.
   bool write(const std::string& path) const {
     const std::string tmp = path + ".tmp";
     std::FILE* f = std::fopen(tmp.c_str(), "w");
@@ -124,16 +128,12 @@ class JsonDoc {
       std::fprintf(stderr, "warning: could not write %s\n", tmp.c_str());
       return false;
     }
-    std::fprintf(f, "{\n");
-    bool first = true;
+    std::fprintf(f, "{\n  \"hw_threads\": %u", std::max(1u, std::thread::hardware_concurrency()));
     for (const auto& [k, v] : scalars_) {
-      std::fprintf(f, "%s  \"%s\": %s", first ? "" : ",\n", detail::json_escape(k).c_str(),
-                   v.c_str());
-      first = false;
+      std::fprintf(f, ",\n  \"%s\": %s", detail::json_escape(k).c_str(), v.c_str());
     }
     for (const auto& [name, t] : tables_) {
-      std::fprintf(f, "%s  \"%s\": [\n", first ? "" : ",\n", detail::json_escape(name).c_str());
-      first = false;
+      std::fprintf(f, ",\n  \"%s\": [\n", detail::json_escape(name).c_str());
       const auto& hs = t.headers();
       for (std::size_t r = 0; r < t.rows().size(); ++r) {
         const auto& row = t.rows()[r];

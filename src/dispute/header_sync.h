@@ -11,10 +11,9 @@
 // anchors stay fresh without ever feeding the contract a header that
 // later reorgs out.
 //
-// The tree is header-only (SpvClient-style): PoW is checked per header
-// against the chain's pow_limit, cumulative work decides the best tip.
-// Unlike SpvClient it keeps parent links queryable, which is what reorg
-// *depth* accounting needs.
+// The tree is header-only: PoW is checked per header against the
+// chain's pow_limit, and cumulative work decides the best tip. It keeps
+// parent links queryable, which is what reorg *depth* accounting needs.
 #pragma once
 
 #include <cstdint>

@@ -412,12 +412,6 @@ Bytes Gateway::handle_get_receipt(const Frame& frame) {
   return make_frame(MsgType::kReceiptInfo, frame.request_id, resp.serialize());
 }
 
-std::future<Bytes> Gateway::submit(Bytes frame_bytes, std::uint64_t now_ms) {
-  return pool_.submit([this, frame = std::move(frame_bytes), now_ms]() {
-    return serve(frame, now_ms);
-  });
-}
-
 std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
   // Phase 1 (parallel): pre-verify every signature the sequential serves
   // below would check, warming the global caches — the same pass

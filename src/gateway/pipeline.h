@@ -38,7 +38,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -153,9 +152,6 @@ class Gateway {
   /// Thread-safe; synchronous. `now_ms` is simulation/wall time supplied
   /// by the caller so the gateway stays clockless and deterministic.
   [[nodiscard]] Bytes serve(ByteSpan frame_bytes, std::uint64_t now_ms);
-
-  /// Asynchronous serve on the thread pool.
-  [[nodiscard]] std::future<Bytes> submit(Bytes frame_bytes, std::uint64_t now_ms);
 
   /// Bulk intake: one parallel batch-verify pass over every submit
   /// frame's signature jobs (MerchantService::collect_sig_checks) warms

@@ -62,7 +62,6 @@ class HostContext {
   /// Pay out of the contract's balance; charges CALL-with-value gas.
   /// Returns false (no state change) if the contract balance is short.
   [[nodiscard]] bool transfer_out(const Address& to, Value amount);
-  [[nodiscard]] Value self_balance() const { return state_.balance(self_); }
 
   // --- events & compute ---
   void emit_log(std::string topic, Bytes data = {});

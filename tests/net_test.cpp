@@ -11,9 +11,9 @@
 //   3. The full TcpServer against a live gateway deployment over
 //      loopback — byte parity with direct GatewayPipeline::serve() for
 //      scripted frame sequences under every fragmentation, shed
-//      backpressure, and the adversarial clients: slow-loris drip,
-//      write-stall (never drains responses), garbage/oversized framing
-//      (score -> ban), and reconnect-after-ban.
+//      backpressure and shed-then-retry, and the adversarial clients:
+//      slow-loris drip, write-stall (never drains responses),
+//      garbage/oversized framing (score -> ban), and reconnect-after-ban.
 //
 // The server is driven with poll_once() on the test thread and a scripted
 // clock, so every timeout fires by arithmetic, not by sleeping.
@@ -21,6 +21,8 @@
 
 #include <cerrno>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -452,9 +454,16 @@ struct NetGatewayUnit : ::testing::Test {
 /// advanced by assignment.
 struct ScriptedServer {
   ScriptedServer(gateway::Gateway& gw, std::uint64_t sim_now, ServerConfig cfg = {})
-      : handler(gw) {
-    handler.pin_time(sim_now);
-    server = std::make_unique<TcpServer>(handler, cfg, [this] { return fake_now_ms; });
+      : own_handler(std::in_place, gw) {
+    own_handler->pin_time(sim_now);
+    start(*own_handler, cfg);
+  }
+
+  /// Serve through `front` (it must outlive the server) instead.
+  ScriptedServer(FrameHandler& front, ServerConfig cfg) { start(front, cfg); }
+
+  void start(FrameHandler& front, const ServerConfig& cfg) {
+    server = std::make_unique<TcpServer>(front, cfg, [this] { return fake_now_ms; });
     started = server->start();
   }
 
@@ -475,7 +484,7 @@ struct ScriptedServer {
     while (got.size() < want && attempts-- > 0) pump_once(fd, rx, got);
   }
 
-  GatewayHandler handler;
+  std::optional<GatewayHandler> own_handler;
   std::unique_ptr<TcpServer> server;
   std::uint64_t fake_now_ms = 1;
   bool started = false;
@@ -591,6 +600,125 @@ TEST_F(NetGatewayUnit, ShedResponsesPauseReadsAndMatchDirectServe) {
   srv.pump_until(fd, 2, rx, got);
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[1], expected);
+  ::close(fd);
+}
+
+TEST_F(NetGatewayUnit, ZeroAdmissionBurstIsFullyShedWithReadsPaused) {
+  gateway::GatewayConfig gcfg;
+  gcfg.max_inflight = 0;
+  auto gw_net = make_gateway(gcfg);
+  auto gw_ref = make_gateway(gcfg);
+  std::vector<Bytes> burst;
+  std::vector<Bytes> expected;
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    burst.push_back(submit_frame(300 + i, i % pkgs.size()));
+    expected.push_back(gw_ref->serve(burst.back(), now));
+  }
+
+  ScriptedServer srv(*gw_net, now);
+  ASSERT_TRUE(srv.started);
+  const int fd = connect_client(srv.server->port());
+  ASSERT_GE(fd, 0);
+  write_all(fd, concat(burst));  // one pipelined write
+
+  // Every frame comes back as the same kRetryAfter bytes direct serve()
+  // gives, whatever pauses the shed backoff puts between the reads.
+  FrameAssembler rx;
+  std::vector<Bytes> got;
+  for (int i = 0; i < 2000 && got.size() < burst.size(); ++i) {
+    srv.pump_once(fd, rx, got);
+    srv.fake_now_ms += 20;  // past the default 10 ms shed backoff
+  }
+  ASSERT_EQ(got.size(), burst.size());
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << i;
+    const auto f = Frame::deserialize(got[i]);
+    ASSERT_TRUE(f.has_value());
+    EXPECT_EQ(f->type, MsgType::kRetryAfter);
+  }
+  const auto st = srv.server->stats();
+  EXPECT_EQ(st.sheds_seen, burst.size());
+  EXPECT_GE(st.read_pauses, 1u);
+  EXPECT_EQ(gw_net->stats().accepts(), 0u);
+  EXPECT_EQ(gw_net->commit_queue_depth(), 0u);
+  ::close(fd);
+}
+
+/// A brownout that clears: the first `shed` frames go to `shedder`, every
+/// later one to `inner`.
+class BrownoutHandler final : public FrameHandler {
+ public:
+  BrownoutHandler(FrameHandler& shedder, FrameHandler& inner, std::size_t shed)
+      : shedder_(shedder), inner_(inner), shed_(shed) {}
+
+  [[nodiscard]] std::vector<Bytes> handle(const std::vector<Bytes>& frames,
+                                          std::uint64_t now_ms) override {
+    std::vector<Bytes> out;
+    for (const auto& frame : frames) {
+      FrameHandler& to = shed_ > 0 ? shedder_ : inner_;
+      if (shed_ > 0) --shed_;
+      out.push_back(std::move(to.handle({frame}, now_ms).front()));
+    }
+    return out;
+  }
+
+ private:
+  FrameHandler& shedder_;
+  FrameHandler& inner_;
+  std::size_t shed_;
+};
+
+TEST_F(NetGatewayUnit, ShedSubmitRetriedOnSameConnectionIsAcceptedOnce) {
+  gateway::GatewayConfig shed_cfg;
+  shed_cfg.max_inflight = 0;
+  auto gw_shed = make_gateway(shed_cfg);  // answers the brownout with real kRetryAfter bytes
+  auto gw_net = make_gateway();
+  auto gw_ref = make_gateway();
+  const Bytes frame = submit_frame(42, 0);
+  const Bytes expected_shed = make_gateway(shed_cfg)->serve(frame, now);
+  const Bytes expected_accept = gw_ref->serve(frame, now);
+
+  GatewayHandler shedder(*gw_shed);
+  GatewayHandler inner(*gw_net);
+  shedder.pin_time(now);
+  inner.pin_time(now);
+  BrownoutHandler brownout(shedder, inner, /*shed=*/1);
+  ServerConfig scfg;
+  scfg.shed_backoff_ms = 500;
+  ScriptedServer srv(brownout, scfg);
+  ASSERT_TRUE(srv.started);
+  const int fd = connect_client(srv.server->port());
+  ASSERT_GE(fd, 0);
+
+  // The first try is shed: nothing is reserved or queued.
+  write_all(fd, frame);
+  FrameAssembler rx;
+  std::vector<Bytes> got;
+  srv.pump_until(fd, 1, rx, got);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0], expected_shed);
+  EXPECT_EQ(srv.server->stats().sheds_seen, 1u);
+  EXPECT_EQ(gw_net->stats().accepts(), 0u);
+  EXPECT_EQ(gw_net->commit_queue_depth(), 0u);
+
+  // The client honours the hint and resubmits the same bytes on the same
+  // connection: accepted, with the bytes a direct serve() returns.
+  write_all(fd, frame);
+  srv.fake_now_ms += 1000;
+  srv.pump_until(fd, 2, rx, got);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1], expected_accept);
+  const auto accept = Frame::deserialize(got[1]);
+  ASSERT_TRUE(accept.has_value());
+  const auto result = gateway::FastPayResultResponse::deserialize(accept->payload);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->accepted) << result->reason;
+
+  EXPECT_EQ(gw_net->stats().accepts(), 1u);
+  EXPECT_EQ(gw_net->commit_queue_depth(), 1u);
+  const auto snap = gw_net->escrow_snapshot(dep->customer().escrow_id());
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->live_reservations, 1u);
   ::close(fd);
 }
 

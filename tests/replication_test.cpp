@@ -4,12 +4,10 @@
 // including the quorum=0 degradation and unreachable-quorum rejection,
 // crash-point-exhaustive failover (kill the primary at every ship
 // boundary and prove the promoted store is byte-exact for every acked
-// record), catch-up after follower restart, snapshot install past
-// compaction, and the rendezvous escrow router's remap bound plus the
-// partitioned front's single-partition byte parity.
+// record), catch-up after follower restart, and snapshot install past
+// compaction.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -17,11 +15,9 @@
 
 #include <unistd.h>
 
-#include "gateway/wire.h"
 #include "replication/failover.h"
 #include "replication/follower.h"
 #include "replication/log_ship.h"
-#include "replication/router.h"
 #include "store/recovery.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
@@ -445,115 +441,6 @@ TEST(Failover, SnapshotInstallWhenLogIsPruned) {
   shipper.pump(100'000);
   EXPECT_EQ(rig.followers[0]->store()->image_copy().serialize(),
             rig.primary->image_copy().serialize());
-}
-
-// -------------------------------------------------------------- router
-
-TEST(EscrowRouter, DeterministicAndOrderIndependent) {
-  EscrowRouter a({1, 2, 3, 4});
-  EscrowRouter b({4, 2, 3, 1});
-  for (std::uint64_t key = 0; key < 500; ++key) {
-    const auto ra = a.route(key);
-    ASSERT_TRUE(ra.has_value());
-    EXPECT_EQ(ra, b.route(key)) << key;
-  }
-  EXPECT_FALSE(EscrowRouter{}.route(42).has_value());
-}
-
-TEST(EscrowRouter, AddPartitionRemapsAboutOneOverP) {
-  constexpr std::uint64_t kKeys = 4000;
-  for (std::size_t p = 1; p <= 8; ++p) {
-    EscrowRouter before;
-    for (std::size_t i = 0; i < p; ++i) before.add_partition(100 + i);
-    EscrowRouter after = before;
-    after.add_partition(100 + p);
-
-    std::uint64_t moved = 0, moved_elsewhere = 0;
-    for (std::uint64_t key = 0; key < kKeys; ++key) {
-      const auto rb = before.route(key);
-      const auto ra = after.route(key);
-      if (rb != ra) {
-        ++moved;
-        if (ra != 100 + p) ++moved_elsewhere;
-      }
-    }
-    // Rendezvous guarantee: keys only ever move TO the new partition,
-    // and roughly 1/(P+1) of them do (generous 2x tolerance).
-    EXPECT_EQ(moved_elsewhere, 0u) << "p=" << p;
-    const double expect = static_cast<double>(kKeys) / static_cast<double>(p + 1);
-    EXPECT_GT(static_cast<double>(moved), expect * 0.5) << "p=" << p;
-    EXPECT_LT(static_cast<double>(moved), expect * 2.0) << "p=" << p;
-  }
-}
-
-TEST(EscrowRouter, RemoveOnlyReassignsOwnedKeys) {
-  EscrowRouter before({1, 2, 3, 4});
-  EscrowRouter after = before;
-  ASSERT_TRUE(after.remove_partition(3));
-  for (std::uint64_t key = 0; key < 2000; ++key) {
-    const auto rb = before.route(key);
-    if (rb != 3) {
-      EXPECT_EQ(after.route(key), rb) << key;
-    }
-  }
-}
-
-TEST(PartitionedFront, SinglePartitionIsByteIdentical) {
-  std::vector<Bytes> seen;
-  PartitionedFront front;
-  front.add_partition(1, [&seen](ByteSpan frame, std::uint64_t) {
-    seen.emplace_back(frame.begin(), frame.end());
-    return Bytes{0xaa, 0xbb};
-  });
-
-  gateway::QueryEscrowRequest q;
-  q.escrow_id = 99;
-  const Bytes frame = gateway::make_frame(gateway::MsgType::kQueryEscrow, 5, q.serialize());
-  const Bytes resp = front.serve(frame, 1);
-  EXPECT_EQ(resp, (Bytes{0xaa, 0xbb}));
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], frame);  // the frame reaches the partition unmodified
-
-  // Malformed input also lands on the only partition (canonical error).
-  (void)front.serve(Bytes{0x01, 0x02}, 1);
-  EXPECT_EQ(seen.size(), 2u);
-  EXPECT_EQ(front.stats().fallthroughs, 1u);
-}
-
-TEST(PartitionedFront, RoutesByEscrowAndProbesReceipts) {
-  std::vector<int> hits(3, 0);
-  PartitionedFront front;
-  for (std::uint64_t p = 0; p < 3; ++p) {
-    front.add_partition(p, [&hits, p](ByteSpan, std::uint64_t) {
-      ++hits[p];
-      gateway::ReceiptInfoResponse r;
-      r.found = (p == 2);  // only partition 2 knows this receipt
-      return gateway::make_frame(gateway::MsgType::kReceiptInfo, 1, r.serialize());
-    });
-  }
-
-  // Same escrow always lands on the same partition.
-  gateway::QueryEscrowRequest q;
-  q.escrow_id = 1234;
-  const Bytes frame = gateway::make_frame(gateway::MsgType::kQueryEscrow, 1, q.serialize());
-  (void)front.serve(frame, 1);
-  (void)front.serve(frame, 2);
-  EXPECT_EQ(*std::max_element(hits.begin(), hits.end()), 2);
-  EXPECT_EQ(hits[0] + hits[1] + hits[2], 2);
-  EXPECT_EQ(front.stats().routed_queries, 2u);
-
-  // Receipt lookups are keyed by request id, not escrow: probe until hit.
-  std::fill(hits.begin(), hits.end(), 0);
-  gateway::GetReceiptRequest gr;
-  gr.request_id = 1;
-  const Bytes rframe = gateway::make_frame(gateway::MsgType::kGetReceipt, 9, gr.serialize());
-  const Bytes resp = front.serve(rframe, 3);
-  const auto parsed = gateway::Frame::deserialize(resp);
-  ASSERT_TRUE(parsed.has_value());
-  const auto info = gateway::ReceiptInfoResponse::deserialize(parsed->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_TRUE(info->found);
-  EXPECT_GE(front.stats().receipt_probes, 1u);
 }
 
 }  // namespace

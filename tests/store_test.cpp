@@ -20,6 +20,7 @@
 
 #include "btcfast/customer.h"
 #include "btcfast/orchestrator.h"
+#include "btcfast/payjudger.h"
 #include "common/thread_pool.h"
 #include "gateway/pipeline.h"
 #include "gateway/wire.h"
@@ -1091,6 +1092,129 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->local_reserved, pkg.binding.binding.compensation);
   gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+/// Replication gate double: grants every quorum ask except the next
+/// `refusals` ones.
+struct RefusingGate final : CommitGate {
+  bool quorum_commit(std::uint64_t, std::uint64_t) override {
+    if (refusals == 0) return true;
+    --refusals;
+    return false;
+  }
+  int refusals = 0;
+};
+
+TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
+  core::DeploymentConfig cfg;
+  cfg.seed = 4343;
+  cfg.funded_coins = 4;
+  cfg.reserve_payments = true;  // flush returns one reservePayment tx per accept
+  core::Deployment dep(cfg);
+  const auto now = static_cast<std::uint64_t>(dep.simulator().now());
+
+  common::ThreadPool pool{0};
+  gateway::Gateway gw(dep.merchant(), pool, gateway::GatewayConfig{});
+
+  // A second escrow on another shard, so the flush order (shard, then
+  // queue) differs from the serve order.
+  const core::EscrowId e1 = dep.customer().escrow_id();
+  core::EscrowId e2 = e1 + 1;
+  while (gw.shard_index(e2) == gw.shard_index(e1)) ++e2;
+  core::CustomerWallet wallet2(dep.customer().btc_identity(), dep.customer_psc_address(), e2);
+  dep.psc().mint(dep.customer_psc_address(), cfg.collateral);
+  ASSERT_TRUE(dep.psc()
+                  .execute_now(wallet2.make_deposit_tx(dep.judger_address(), cfg.collateral,
+                                                       cfg.escrow_unlock_delay_ms),
+                               now)
+                  .success);
+  gw.track_escrow(e1);
+  gw.track_escrow(e2);
+
+  const std::string dir = scratch_dir("gw-quorum-requeue");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  RefusingGate gate;
+  gw.attach_store(st.get());
+  gw.attach_commit_gate(&gate);
+
+  // Four accepts, alternating escrows.
+  const auto coins =
+      sim::find_spendable(dep.customer_node().chain(), dep.customer().btc_identity().script);
+  ASSERT_GE(coins.size(), 4u);
+  std::vector<core::FastPayPackage> pkgs;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto inv = dep.merchant().make_invoice(5 * btc::kCoin, cfg.compensation, now,
+                                                 10ULL * 60 * 1000);
+    gw.register_invoice(inv);
+    core::CustomerWallet& payer = (i % 2 == 0) ? dep.customer() : wallet2;
+    pkgs.push_back(payer.create_fastpay(inv, coins[i].first, coins[i].second.out.value, now,
+                                        cfg.binding_ttl_ms));
+    gateway::SubmitFastPayRequest req;
+    req.invoice_id = inv.invoice_id;
+    req.package = pkgs.back();
+    const auto resp = StoreGatewayUnit::decode_result(
+        gw.serve(gateway::make_frame(gateway::MsgType::kSubmitFastPay, i + 1, req.serialize()),
+                 now));
+    ASSERT_TRUE(resp.accepted) << resp.reason;
+  }
+  ASSERT_EQ(gw.commit_queue_depth(), 4u);
+  const std::uint64_t appends_before_flush = st->wal_appends();
+
+  // The epoch misses quorum: nothing is applied, every accept stays queued.
+  gate.refusals = 1;
+  EXPECT_TRUE(gw.flush_accepted(now).empty());
+  EXPECT_EQ(gw.commit_queue_depth(), 4u);
+  EXPECT_TRUE(dep.merchant().pending().empty());
+  EXPECT_EQ(st->wal_appends(), appends_before_flush + 4);
+
+  // The retry reaches quorum and applies the same accepts in shard order,
+  // then queue order. Its appends are double commits the store refuses,
+  // so the WAL gains nothing.
+  std::vector<std::size_t> order = {0, 1, 2, 3};
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return gw.shard_index(pkgs[a].binding.binding.escrow_id) <
+           gw.shard_index(pkgs[b].binding.binding.escrow_id);
+  });
+  ASSERT_NE(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  const auto actions = gw.flush_accepted(now);
+  ASSERT_EQ(actions.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    const auto& b = pkgs[order[k]].binding;
+    EXPECT_EQ(actions[k].args, core::encode_open_dispute_args(b.binding.escrow_id, b)) << k;
+  }
+  EXPECT_EQ(gw.commit_queue_depth(), 0u);
+  EXPECT_EQ(st->wal_appends(), appends_before_flush + 4);
+
+  // The merchant book holds each payment once, in the same order, and a
+  // further flush has nothing left to apply.
+  ASSERT_EQ(dep.merchant().pending().size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(dep.merchant().pending()[k].package.binding.binding.btc_txid,
+              pkgs[order[k]].binding.binding.btc_txid);
+  }
+  EXPECT_TRUE(gw.flush_accepted(now).empty());
+  EXPECT_EQ(dep.merchant().pending().size(), 4u);
+
+  // Recovery sees exactly one accept commit per reservation.
+  st.reset();
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  EXPECT_EQ(info.replayed_records, 8u);  // 4 reserves + 4 accept commits
+  const StateImage image = st2->image_copy();
+  ASSERT_EQ(image.reservations.size(), 4u);
+  ASSERT_EQ(image.accepted.size(), 4u);
+  std::vector<std::uint64_t> reserved, committed;
+  for (const auto& r : image.reservations) reserved.push_back(r.id);
+  for (const auto& a : image.accepted) committed.push_back(a.reservation_id);
+  std::sort(reserved.begin(), reserved.end());
+  std::sort(committed.begin(), committed.end());
+  EXPECT_EQ(committed, reserved);
   st2.reset();
   fs::remove_all(dir);
 }
