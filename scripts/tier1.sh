@@ -7,7 +7,8 @@
 #                         [--dispute-smoke] [--replication-smoke]
 #   preset             "default" (the gate), or "tsan"/"asan"/"ubsan" for a
 #                      full sanitizer suite run.
-#   --bench-smoke      after the tests, run every bench_* binary once (the
+#   --bench-smoke      after the tests, run every bench (one per
+#                      bench/bench_*.cpp source) once (the
 #                      google-benchmark suite at its minimum iteration
 #                      budget, the bounded hand-timed harnesses at full
 #                      length) in a scratch cwd — catches bench bit-rot
@@ -139,9 +140,17 @@ if [[ "$bench_smoke" == 1 ]]; then
   smoke_dir="$bindir/bench-smoke"
   mkdir -p "$smoke_dir"
   repo_root="$PWD"
-  for bench in "$bindir"/bench/bench_*; do
-    [[ -x "$bench" ]] || continue
-    name="$(basename "$bench")"
+  # The bench list comes from the sources (one target per
+  # bench/bench_*.cpp), not from the build directory: a reused tree may
+  # still hold binaries of deleted benches, and a listed bench that was
+  # not built is a failure, not a skip.
+  for src in bench/bench_*.cpp; do
+    name="$(basename "$src" .cpp)"
+    bench="$bindir/bench/$name"
+    if [[ ! -x "$bench" ]]; then
+      echo "== bench smoke: FAILED — $name was not built ($bench missing) =="
+      exit 1
+    fi
     echo "-- $name"
     if [[ "$name" == "bench_micro_crypto" ]]; then
       # google-benchmark half at minimum iteration budget; the hand-timed

@@ -5,13 +5,15 @@
 
 namespace btcfast::btc {
 
+bool pubkey_matches(const ScriptSig& sig, const ScriptPubKey& lock) noexcept {
+  const auto h = crypto::hash160({sig.pubkey.data(), sig.pubkey.size()});
+  return equal_bytes({h.data(), h.size()}, {lock.dest.bytes.data(), lock.dest.bytes.size()});
+}
+
 bool verify_script(const ScriptSig& sig, const ScriptPubKey& lock,
                    const crypto::Sha256Digest& sighash) noexcept {
   // 1. Pubkey must hash to the locked destination.
-  const auto h = crypto::hash160({sig.pubkey.data(), sig.pubkey.size()});
-  if (!equal_bytes({h.data(), h.size()}, {lock.dest.bytes.data(), lock.dest.bytes.size()})) {
-    return false;
-  }
+  if (!pubkey_matches(sig, lock)) return false;
   // 2. Signature must verify under that pubkey, through the one cached
   // verify path: a repeat check of an identical (sighash, key, sig)
   // triple skips even the pubkey decompression.

@@ -40,6 +40,10 @@ struct ScriptSig {
   [[nodiscard]] bool operator==(const ScriptSig& o) const noexcept = default;
 };
 
+/// True iff `sig.pubkey` hashes to `lock.dest` (the half of
+/// verify_script that needs no curve arithmetic).
+[[nodiscard]] bool pubkey_matches(const ScriptSig& sig, const ScriptPubKey& lock) noexcept;
+
 /// Checks that `sig.pubkey` hashes to `lock.dest` and that the signature
 /// verifies over `sighash`.
 [[nodiscard]] bool verify_script(const ScriptSig& sig, const ScriptPubKey& lock,

@@ -112,13 +112,19 @@ AcceptDecision MerchantService::check_terms(const FastPayPackage& pkg, const Inv
   return AcceptDecision{true, {}, RejectReason::kNone};
 }
 
-AcceptDecision MerchantService::verify_payment(const FastPayPackage& pkg,
-                                               const EscrowView& escrow) const {
+AcceptDecision MerchantService::verify_payment(const FastPayPackage& pkg, const EscrowView& escrow,
+                                               const PassVerdicts* pass) const {
+  const SigJobIndex no_jobs;
+  const SigJobIndex& at = pass != nullptr ? pass->at : no_jobs;
   // 4. Binding signature under the escrow's registered customer key. The
   // key is only decompressed on a cache miss; a failed check then tells
   // a key that does not decode from a bad signature.
   const ByteSpan customer_key{escrow.customer_btc_key.data(), escrow.customer_btc_key.size()};
-  if (!pkg.binding.verify(customer_key)) {
+  const bool binding_ok = at.binding != SigJobIndex::kNone &&
+                                  pass->jobs[at.binding].pubkey == escrow.customer_btc_key
+                              ? pass->ok[at.binding] != 0
+                              : pkg.binding.verify(customer_key);
+  if (!binding_ok) {
     if (!crypto::PublicKey::parse(customer_key)) {
       return reject(RejectReason::kBadCustomerKey, "escrow holds an invalid customer key");
     }
@@ -131,19 +137,27 @@ AcceptDecision MerchantService::verify_payment(const FastPayPackage& pkg,
   }
   btc::Amount in_value = 0;
   for (std::size_t i = 0; i < pkg.payment_tx.inputs.size(); ++i) {
-    const auto& prevout = pkg.payment_tx.inputs[i].prevout;
-    const auto coin = btc_node_.chain().utxo().get(prevout);
+    const auto& input = pkg.payment_tx.inputs[i];
+    const auto coin = btc_node_.chain().utxo().get(input.prevout);
     if (!coin) {
       return reject(RejectReason::kInputMissing,
-                    "input missing or already spent: " + prevout.to_string());
+                    "input missing or already spent: " + input.prevout.to_string());
     }
-    if (auto conflict = btc_node_.mempool().spender_of(prevout)) {
+    if (auto conflict = btc_node_.mempool().spender_of(input.prevout)) {
       if (*conflict != pkg.binding.binding.btc_txid) {
         return reject(RejectReason::kInputConflict,
                       "input double-spent in mempool by " + conflict->to_string());
       }
     }
-    if (!btc::verify_input(pkg.payment_tx, i, coin->out.script_pubkey)) {
+    // The pass checked this input's signature over the sighash of this
+    // very coin (an outpoint's coin never changes), so its verdict stands
+    // in for the signature half of verify_input.
+    const std::size_t job = i < at.inputs.size() ? at.inputs[i] : SigJobIndex::kNone;
+    const bool input_ok =
+        job != SigJobIndex::kNone
+            ? btc::pubkey_matches(input.script_sig, coin->out.script_pubkey) && pass->ok[job] != 0
+            : btc::verify_input(pkg.payment_tx, i, coin->out.script_pubkey);
+    if (!input_ok) {
       return reject(RejectReason::kInputSigInvalid, "payment input signature invalid");
     }
     in_value += coin->out.value;
@@ -157,14 +171,18 @@ AcceptDecision MerchantService::verify_payment(const FastPayPackage& pkg,
 
 void MerchantService::collect_sig_checks(const FastPayPackage& pkg,
                                          const std::optional<EscrowView>& escrow,
-                                         std::vector<crypto::SigCheckJob>& out) const {
+                                         std::vector<crypto::SigCheckJob>& out,
+                                         SigJobIndex* at) const {
+  if (at != nullptr) at->inputs.assign(pkg.payment_tx.inputs.size(), SigJobIndex::kNone);
   if (escrow) {
+    if (at != nullptr) at->binding = out.size();
     out.push_back({pkg.binding.binding.signing_digest(), escrow->customer_btc_key,
                    pkg.binding.customer_sig});
   }
   for (std::size_t i = 0; i < pkg.payment_tx.inputs.size(); ++i) {
     const auto& in = pkg.payment_tx.inputs[i];
     if (const auto coin = btc_node_.chain().utxo().get(in.prevout)) {
+      if (at != nullptr) at->inputs[i] = out.size();
       out.push_back({pkg.payment_tx.signature_hash(i, coin->out.script_pubkey),
                      in.script_sig.pubkey, in.script_sig.signature});
     }

@@ -16,6 +16,24 @@
 
 namespace btcfast::core {
 
+/// Where collect_sig_checks put one package's signature checks in its
+/// job list: the binding check, and one check per payment input whose
+/// coin the merchant node held (kNone otherwise).
+struct SigJobIndex {
+  static constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t binding = kNone;
+  std::vector<std::size_t> inputs;
+};
+
+/// One package's share of a batch verify pass: the pass's jobs,
+/// batch_verify's per-job results (1 = valid), and where the package's
+/// checks sit among them.
+struct PassVerdicts {
+  const std::vector<crypto::SigCheckJob>& jobs;
+  const std::vector<std::uint8_t>& ok;
+  const SigJobIndex& at;
+};
+
 class MerchantService {
  public:
   struct Config {
@@ -88,16 +106,22 @@ class MerchantService {
   /// verify_payment (after check_terms accepted): the binding signature
   /// under the escrow's customer key, then each payment input (unspent,
   /// unconflicted, signature valid), then value conservation. Every
-  /// signature goes through crypto::verify_signature.
-  [[nodiscard]] AcceptDecision verify_payment(const FastPayPackage& pkg,
-                                              const EscrowView& escrow) const;
+  /// signature goes through crypto::verify_signature — unless `pass`
+  /// holds the verdicts of a batch pass that already checked it: then
+  /// the verdict is read instead of hashing and looking the signature up
+  /// again, with the same checks, order and reason codes. A binding job
+  /// whose key is no longer `escrow`'s customer key is checked afresh.
+  [[nodiscard]] AcceptDecision verify_payment(const FastPayPackage& pkg, const EscrowView& escrow,
+                                              const PassVerdicts* pass = nullptr) const;
 
   /// Append the signature checks verify_payment will run on `pkg`: the
   /// binding (when the escrow is known) and every input whose prevout the
   /// merchant node holds. Batch intake verifies them in one
-  /// crypto::batch_verify pass, so the sequential decisions hit the cache.
+  /// crypto::batch_verify pass; `at`, when non-null, records where each
+  /// check landed so the decision can read its verdict back.
   void collect_sig_checks(const FastPayPackage& pkg, const std::optional<EscrowView>& escrow,
-                          std::vector<crypto::SigCheckJob>& out) const;
+                          std::vector<crypto::SigCheckJob>& out,
+                          SigJobIndex* at = nullptr) const;
 
   /// Batch intake for N independent packages: a parallel phase verifies
   /// every signature (binding + per-input payment sigs) across the global

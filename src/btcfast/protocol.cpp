@@ -34,6 +34,7 @@ const char* describe(RejectReason reason) noexcept {
     case RejectReason::kMalformedFrame: return "malformed-frame";
     case RejectReason::kUnknownInvoice: return "unknown-invoice";
     case RejectReason::kOverloaded: return "overloaded";
+    case RejectReason::kDuplicatePayment: return "duplicate-payment";
     case RejectReason::kMaxReason: break;
   }
   return "unknown";

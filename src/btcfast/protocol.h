@@ -108,7 +108,12 @@ enum class RejectReason : std::uint16_t {
   kMalformedFrame = 20,
   kUnknownInvoice = 21,
   kOverloaded = 22,  ///< shed with RetryAfter; resubmit later
-  kMaxReason = 23,   ///< array-sizing sentinel, never returned
+  /// The payment's BTC txid already holds a live reservation on its
+  /// escrow: a replay of an accepted package gets no second hold and
+  /// records no receipt, so GetReceipt keeps returning the original
+  /// decision.
+  kDuplicatePayment = 23,
+  kMaxReason = 24,   ///< array-sizing sentinel, never returned
 };
 
 /// Stable short slug for a rejection code (stats keys, wire diagnostics).

@@ -67,19 +67,23 @@ std::vector<std::uint8_t> batch_verify(common::ThreadPool& pool,
     sigs[i] = *sig;
   });
 
-  // Group the surviving jobs by pubkey (serial; batches are small).
+  // Group the surviving jobs by pubkey (serial; batches are small). The
+  // groups are counted first and allocated once: a KeyGroup carries its
+  // ~2 KiB of cold tables inline, so growing the vector would copy them.
   std::unordered_map<ByteArray<33>, std::uint32_t, PubkeyBytesHash> group_of;
-  std::vector<KeyGroup> groups;
+  group_of.reserve(n);
+  std::vector<std::size_t> first_job;  // per group: the job that opened it
   std::vector<std::uint32_t> job_group(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     if (state[i] != JobState::kPending) continue;
     const auto [it, fresh] =
-        group_of.emplace(jobs[i].pubkey, static_cast<std::uint32_t>(groups.size()));
-    if (fresh) {
-      groups.emplace_back();
-      groups.back().keybytes = jobs[i].pubkey;
-    }
+        group_of.emplace(jobs[i].pubkey, static_cast<std::uint32_t>(first_job.size()));
+    if (fresh) first_job.push_back(i);
     job_group[i] = it->second;
+  }
+  std::vector<KeyGroup> groups(first_job.size());
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    groups[gi].keybytes = jobs[first_job[gi]].pubkey;
   }
 
   // Probe the precomp cache once per distinct key (serial: stat counts

@@ -4,6 +4,10 @@
 #include <cstdint>
 #include <vector>
 
+#if defined(__x86_64__) || defined(_M_X64)
+#include <immintrin.h>
+#endif
+
 namespace btcfast::crypto::secp {
 namespace {
 
@@ -39,131 +43,171 @@ const U256 kHalfN = make_n() >> 1;
 constexpr u64 kC = 0x1000003D1ULL;
 
 // --- flat 4-limb field engine -----------------------------------------
-// The hot path avoids the generic U512 helpers entirely: one schoolbook
-// 4x4 multiply into a stack array, then two inline folds of the high
-// half through kC. Everything stays in registers; the only branches are
-// the final carry fix-up and one conditional subtract of p. Additions and
-// subtractions are likewise flattened so no cross-TU U256 helper call
-// lands in the point-arithmetic inner loops.
+// The hot path avoids the generic U512 helpers entirely: one 4x4
+// product-scanning multiply (or square) into a stack array, then two
+// inline folds of the high half through kC. Every step is a straight
+// carry chain: no loop exits early on a zero carry, and the final
+// "subtract p if needed" is a masked select, so the point-arithmetic
+// inner loops carry no data-dependent branches. Additions and
+// subtractions are flattened the same way. Outputs are canonical (< p)
+// for canonical inputs.
+//
+// Long limb chains (fadd, fsub, fneg, the second fold and the select)
+// use add-with-carry / subtract-with-borrow helpers, which map to adc/sbb
+// on x86-64 (GCC spills and re-zeroes registers when the same chain is
+// spelled with unsigned __int128 sums). The multiply keeps the carries
+// off the flags instead: each column sums its products' halves in two
+// 128-bit counters (see Column).
 
-inline bool ge_p(const u64 r[4]) noexcept {
-  for (int i = 3; i >= 0; --i) {
-    if (r[i] != kP.w[i]) return r[i] > kP.w[i];
-  }
-  return true;
+#if defined(__x86_64__) || defined(_M_X64)
+[[gnu::always_inline]] inline u64 adc(u64 a, u64 b, unsigned char& carry) noexcept {
+  unsigned long long r;
+  carry = _addcarry_u64(carry, a, b, &r);
+  return r;
+}
+[[gnu::always_inline]] inline u64 sbb(u64 a, u64 b, unsigned char& borrow) noexcept {
+  unsigned long long r;
+  borrow = _subborrow_u64(borrow, a, b, &r);
+  return r;
+}
+#else
+[[gnu::always_inline]] inline u64 adc(u64 a, u64 b, unsigned char& carry) noexcept {
+  const u128 s = static_cast<u128>(a) + b + carry;
+  carry = static_cast<unsigned char>(s >> 64);
+  return static_cast<u64>(s);
+}
+[[gnu::always_inline]] inline u64 sbb(u64 a, u64 b, unsigned char& borrow) noexcept {
+  const u128 d = static_cast<u128>(a) - b - borrow;
+  borrow = static_cast<unsigned char>((d >> 64) & 1);
+  return static_cast<u64>(d);
+}
+#endif
+
+/// Keep r, or replace it by r − p, in one masked select: r − p ≡ r + kC
+/// (mod 2^256), and that sum carries out exactly when r ≥ p. `hi` is a
+/// 2^256 bit the caller already dropped (0 or 1); when it is set the
+/// value exceeds 2^256, so the subtraction always applies.
+[[gnu::always_inline]] inline void sub_p_if_ge(u64 r[4], u64 hi) noexcept {
+  unsigned char c = 0;
+  const u64 t0 = adc(r[0], kC, c);
+  const u64 t1 = adc(r[1], 0, c);
+  const u64 t2 = adc(r[2], 0, c);
+  const u64 t3 = adc(r[3], 0, c);
+  const u64 take = 0 - ((static_cast<u64>(c) | hi) & 1);
+  r[0] = (t0 & take) | (r[0] & ~take);
+  r[1] = (t1 & take) | (r[1] & ~take);
+  r[2] = (t2 & take) | (r[2] & ~take);
+  r[3] = (t3 & take) | (r[3] & ~take);
 }
 
-inline void sub_p(u64 r[4]) noexcept {
-  u64 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 d = static_cast<u128>(r[i]) - kP.w[i] - borrow;
-    r[i] = static_cast<u64>(d);
-    borrow = static_cast<u64>(d >> 64) & 1;
+/// Column accumulator for product scanning. The low and high halves of
+/// a column's 128-bit products are summed in two independent 128-bit
+/// counters (no carry flag crosses from one product to the next), and
+/// the column's carry into the next one is folded in when it is taken.
+struct Column {
+  u128 lo = 0, hi = 0;
+
+  /// += x·y
+  [[gnu::always_inline]] void add(u64 x, u64 y) noexcept {
+    const u128 p = static_cast<u128>(x) * y;
+    lo += static_cast<u64>(p);
+    hi += static_cast<u64>(p >> 64);
   }
+  /// += 2·x·y
+  [[gnu::always_inline]] void add2(u64 x, u64 y) noexcept {
+    const u128 p = static_cast<u128>(x) * y;
+    lo += static_cast<u64>(p << 1);
+    hi += p >> 63;
+  }
+  /// Emit the low word and carry the rest into the next column.
+  [[gnu::always_inline]] u64 take() noexcept {
+    const u64 out = static_cast<u64>(lo);
+    lo = (lo >> 64) + hi;
+    hi = 0;
+    return out;
+  }
+};
+
+/// t[8] = a * b by product scanning (column by column).
+[[gnu::always_inline]] inline void mul_4x4(u64 t[8], const u64 a[4], const u64 b[4]) noexcept {
+  Column c;
+  c.add(a[0], b[0]);
+  t[0] = c.take();
+  c.add(a[0], b[1]);
+  c.add(a[1], b[0]);
+  t[1] = c.take();
+  c.add(a[0], b[2]);
+  c.add(a[1], b[1]);
+  c.add(a[2], b[0]);
+  t[2] = c.take();
+  c.add(a[0], b[3]);
+  c.add(a[1], b[2]);
+  c.add(a[2], b[1]);
+  c.add(a[3], b[0]);
+  t[3] = c.take();
+  c.add(a[1], b[3]);
+  c.add(a[2], b[2]);
+  c.add(a[3], b[1]);
+  t[4] = c.take();
+  c.add(a[2], b[3]);
+  c.add(a[3], b[2]);
+  t[5] = c.take();
+  c.add(a[3], b[3]);
+  t[6] = c.take();
+  t[7] = c.take();
 }
 
-/// t[8] = a * b (full 256x256 product, row-by-row schoolbook).
-inline void mul_4x4(u64 t[8], const u64 a[4], const u64 b[4]) noexcept {
-  u128 acc;
-  u64 carry = 0;
-  acc = static_cast<u128>(a[0]) * b[0];
-  t[0] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[0]) * b[1] + carry;
-  t[1] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[0]) * b[2] + carry;
-  t[2] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[0]) * b[3] + carry;
-  t[3] = static_cast<u64>(acc);
-  t[4] = static_cast<u64>(acc >> 64);
-  for (int i = 1; i < 4; ++i) {
-    carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      acc = static_cast<u128>(a[i]) * b[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(acc);
-      carry = static_cast<u64>(acc >> 64);
-    }
-    t[i + 4] = carry;
-  }
-}
-
-/// t[8] = a² — cross products computed once, doubled, diagonals added.
-inline void sqr_4(u64 t[8], const u64 a[4]) noexcept {
-  u64 x[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  u128 acc;
-  u64 carry;
-  // a0 row: offsets 1..3
-  acc = static_cast<u128>(a[0]) * a[1];
-  x[1] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[0]) * a[2] + carry;
-  x[2] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[0]) * a[3] + carry;
-  x[3] = static_cast<u64>(acc);
-  x[4] = static_cast<u64>(acc >> 64);
-  // a1 row: offsets 3..4
-  acc = static_cast<u128>(a[1]) * a[2] + x[3];
-  x[3] = static_cast<u64>(acc);
-  carry = static_cast<u64>(acc >> 64);
-  acc = static_cast<u128>(a[1]) * a[3] + x[4] + carry;
-  x[4] = static_cast<u64>(acc);
-  x[5] = static_cast<u64>(acc >> 64);
-  // a2 row: offset 5
-  acc = static_cast<u128>(a[2]) * a[3] + x[5];
-  x[5] = static_cast<u64>(acc);
-  x[6] = static_cast<u64>(acc >> 64);
-  // double the cross half
-  for (int i = 7; i > 0; --i) x[i] = (x[i] << 1) | (x[i - 1] >> 63);
-  x[0] <<= 1;
-  // add diagonals a_i² at offsets 2i
-  carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 d = static_cast<u128>(a[i]) * a[i];
-    acc = static_cast<u128>(x[2 * i]) + static_cast<u64>(d) + carry;
-    t[2 * i] = static_cast<u64>(acc);
-    acc = static_cast<u128>(x[2 * i + 1]) + static_cast<u64>(d >> 64) +
-          static_cast<u64>(acc >> 64);
-    t[2 * i + 1] = static_cast<u64>(acc);
-    carry = static_cast<u64>(acc >> 64);
-  }
+/// t[8] = a² by product scanning: each output column sums its doubled
+/// cross products and its diagonal term once — 10 multiplies instead of
+/// the 16 of mul_4x4, with no separate doubling pass.
+[[gnu::always_inline]] inline void sqr_4(u64 t[8], const u64 a[4]) noexcept {
+  Column c;
+  c.add(a[0], a[0]);
+  t[0] = c.take();
+  c.add2(a[0], a[1]);
+  t[1] = c.take();
+  c.add2(a[0], a[2]);
+  c.add(a[1], a[1]);
+  t[2] = c.take();
+  c.add2(a[0], a[3]);
+  c.add2(a[1], a[2]);
+  t[3] = c.take();
+  c.add2(a[1], a[3]);
+  c.add(a[2], a[2]);
+  t[4] = c.take();
+  c.add2(a[2], a[3]);
+  t[5] = c.take();
+  c.add(a[3], a[3]);
+  t[6] = c.take();
+  t[7] = c.take();
 }
 
 /// Reduce a 512-bit product t[8] mod p into r.
-inline void fe_reduce(U256& r, const u64 t[8]) noexcept {
+[[gnu::always_inline]] inline void fe_reduce(U256& r, const u64 t[8]) noexcept {
+  // Fold 1: value = lo + hi*kC, limb by limb; each step's sum stays
+  // below 2^98, so the carry word stays < 2^34.
   u64 out[4];
-  u128 acc;
-  u64 carry = 0;
-  // Fold 1: value = lo + hi*kC; the running carry stays < 2^34.
-  for (int i = 0; i < 4; ++i) {
-    acc = static_cast<u128>(t[4 + i]) * kC + t[i] + carry;
-    out[i] = static_cast<u64>(acc);
-    carry = static_cast<u64>(acc >> 64);
-  }
-  // Fold 2: carry < 2^34, carry*kC < 2^68.
-  acc = static_cast<u128>(carry) * kC + out[0];
+  u128 acc = static_cast<u128>(t[4]) * kC + t[0];
   out[0] = static_cast<u64>(acc);
-  u64 c = static_cast<u64>(acc >> 64);
-  for (int i = 1; i < 4 && c != 0; ++i) {
-    acc = static_cast<u128>(out[i]) + c;
-    out[i] = static_cast<u64>(acc);
-    c = static_cast<u64>(acc >> 64);
-  }
-  if (c != 0) {
-    // Wrapped past 2^256 exactly once; the residue is tiny, so adding kC
-    // cannot carry again.
-    acc = static_cast<u128>(out[0]) + kC;
-    out[0] = static_cast<u64>(acc);
-    u64 c2 = static_cast<u64>(acc >> 64);
-    for (int i = 1; i < 4 && c2 != 0; ++i) {
-      acc = static_cast<u128>(out[i]) + c2;
-      out[i] = static_cast<u64>(acc);
-      c2 = static_cast<u64>(acc >> 64);
-    }
-  }
-  if (ge_p(out)) sub_p(out);  // value < 2^256 < 2p: one subtraction suffices
+  acc = static_cast<u128>(t[5]) * kC + t[1] + static_cast<u64>(acc >> 64);
+  out[1] = static_cast<u64>(acc);
+  acc = static_cast<u128>(t[6]) * kC + t[2] + static_cast<u64>(acc >> 64);
+  out[2] = static_cast<u64>(acc);
+  acc = static_cast<u128>(t[7]) * kC + t[3] + static_cast<u64>(acc >> 64);
+  out[3] = static_cast<u64>(acc);
+  const u64 carry = static_cast<u64>(acc >> 64);
+  // Fold 2: carry < 2^34, carry*kC < 2^68; the chain runs through every
+  // limb and leaves one 2^256 bit.
+  const u128 m = static_cast<u128>(carry) * kC;
+  unsigned char c = 0;
+  out[0] = adc(out[0], static_cast<u64>(m), c);
+  out[1] = adc(out[1], static_cast<u64>(m >> 64), c);
+  out[2] = adc(out[2], 0, c);
+  out[3] = adc(out[3], 0, c);
+  // If that bit is set the low half is tiny and out + kC is the answer;
+  // otherwise out < 2^256 < 2p needs at most one subtraction of p. Both
+  // are the same masked select.
+  sub_p_if_ge(out, c);
   r.w[0] = out[0];
   r.w[1] = out[1];
   r.w[2] = out[2];
@@ -255,32 +299,29 @@ const AffinePoint& generator() noexcept { return kG; }
 
 U256 fadd(const U256& a, const U256& b) noexcept {
   U256 r;
-  u64 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 s = static_cast<u128>(a.w[i]) + b.w[i] + carry;
-    r.w[i] = static_cast<u64>(s);
-    carry = static_cast<u64>(s >> 64);
-  }
-  if (carry != 0 || ge_p(r.w)) sub_p(r.w);
+  unsigned char c = 0;
+  r.w[0] = adc(a.w[0], b.w[0], c);
+  r.w[1] = adc(a.w[1], b.w[1], c);
+  r.w[2] = adc(a.w[2], b.w[2], c);
+  r.w[3] = adc(a.w[3], b.w[3], c);
+  sub_p_if_ge(r.w, c);
   return r;
 }
 
 U256 fsub(const U256& a, const U256& b) noexcept {
+  // a − b, then + p under a mask when the subtraction borrowed.
   U256 r;
-  u64 borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 d = static_cast<u128>(a.w[i]) - b.w[i] - borrow;
-    r.w[i] = static_cast<u64>(d);
-    borrow = static_cast<u64>(d >> 64) & 1;
-  }
-  if (borrow != 0) {
-    u64 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-      const u128 s = static_cast<u128>(r.w[i]) + kP.w[i] + carry;
-      r.w[i] = static_cast<u64>(s);
-      carry = static_cast<u64>(s >> 64);
-    }
-  }
+  unsigned char borrow = 0;
+  r.w[0] = sbb(a.w[0], b.w[0], borrow);
+  r.w[1] = sbb(a.w[1], b.w[1], borrow);
+  r.w[2] = sbb(a.w[2], b.w[2], borrow);
+  r.w[3] = sbb(a.w[3], b.w[3], borrow);
+  const u64 mask = 0 - static_cast<u64>(borrow);
+  unsigned char c = 0;
+  r.w[0] = adc(r.w[0], kP.w[0] & mask, c);
+  r.w[1] = adc(r.w[1], mask, c);
+  r.w[2] = adc(r.w[2], mask, c);
+  r.w[3] = adc(r.w[3], mask, c);
   return r;
 }
 
@@ -300,7 +341,17 @@ U256 fsqr(const U256& a) noexcept {
   return r;
 }
 
-U256 fneg(const U256& a) noexcept { return a.is_zero() ? a : kP - a; }
+U256 fneg(const U256& a) noexcept {
+  // p − a, masked to 0 when a is 0 (so −0 stays canonical).
+  const u64 keep = 0 - static_cast<u64>((a.w[0] | a.w[1] | a.w[2] | a.w[3]) != 0);
+  U256 r;
+  unsigned char borrow = 0;
+  r.w[0] = sbb(kP.w[0], a.w[0], borrow) & keep;
+  r.w[1] = sbb(kP.w[1], a.w[1], borrow) & keep;
+  r.w[2] = sbb(kP.w[2], a.w[2], borrow) & keep;
+  r.w[3] = sbb(kP.w[3], a.w[3], borrow) & keep;
+  return r;
+}
 
 U256 nadd(const U256& a, const U256& b) noexcept { return addmod(a, b, kN); }
 

@@ -21,6 +21,8 @@ std::uint64_t between_us(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
+constexpr const char* kDuplicateReason = "payment already holds a live reservation";
+
 /// Pull the request_id out of a frame header without copying the payload,
 /// so the shed path can echo it at near-zero cost. Returns 0 when the
 /// header itself is malformed.
@@ -79,8 +81,12 @@ void Gateway::sync_store_stats() {
 bool Gateway::restore_from(const store::StateImage& image) {
   bool ok = true;
   for (const auto& r : image.reservations) {
-    Shard& sh = shard_for(r.escrow_id);
-    if (!sh.ledger.restore_reservation(r.id, r.escrow_id, r.amount, r.expires_at_ms)) ok = false;
+    btc::Txid txid;
+    txid.bytes = r.txid;
+    if (!shard_for(r.escrow_id)
+             .ledger.restore_reservation(r.id, r.escrow_id, r.amount, r.expires_at_ms, txid)) {
+      ok = false;
+    }
     std::lock_guard lock(tracked_mu_);
     tracked_.insert(r.escrow_id);
   }
@@ -92,10 +98,8 @@ bool Gateway::restore_from(const store::StateImage& image) {
       continue;
     }
     merchant_.restore_pending(*pkg, *inv, a.accepted_at_ms);
-    const EscrowId eid = pkg->binding.binding.escrow_id;
-    shard_for(eid).live_reservations.emplace(a.reservation_id, pkg->binding.binding.btc_txid);
     std::lock_guard lock(tracked_mu_);
-    tracked_.insert(eid);
+    tracked_.insert(pkg->binding.binding.escrow_id);
   }
   // Restored ledger entries carry a placeholder view until refreshed;
   // pull authoritative contract state now so try_reserve sees reality.
@@ -145,30 +149,46 @@ std::optional<EscrowView> Gateway::escrow_for(EscrowId id) {
   return view;
 }
 
-void Gateway::record_receipt(std::uint64_t request_id, bool accepted, RejectReason code,
-                             std::uint64_t now_ms) {
+void Gateway::record_receipt(BatchCommit& batch, std::uint64_t request_id, bool accepted,
+                             RejectReason code, std::uint64_t now_ms) {
   if (receipt_cap_ == 0) return;
-  Shard& sh = receipt_shard(request_id);
   ReceiptInfoResponse r;
   r.found = true;
   r.accepted = accepted;
   r.code = code;
   r.decided_at_ms = now_ms;
-  std::lock_guard lock(sh.receipts_mu);
-  // Receipts are best-effort: request ids are client-chosen, so each
-  // shard's cache is a bounded FIFO — oldest decisions fall out first,
-  // never the map growing with attacker-supplied fresh ids.
-  const bool inserted = sh.receipts.insert_or_assign(request_id, r).second;
-  if (inserted) {
-    sh.receipt_order.push_back(request_id);
-    while (sh.receipts.size() > receipt_cap_) {
-      sh.receipts.erase(sh.receipt_order.front());
-      sh.receipt_order.pop_front();
+  batch.receipts.emplace_back(request_id, r);
+}
+
+void Gateway::publish_receipts(const BatchCommit& batch) {
+  for (const auto& [request_id, r] : batch.receipts) {
+    Shard& sh = receipt_shard(request_id);
+    std::lock_guard lock(sh.receipts_mu);
+    // Receipts are best-effort: request ids are client-chosen, so each
+    // shard's cache is a bounded FIFO — oldest decisions fall out first,
+    // never the map growing with attacker-supplied fresh ids.
+    const bool inserted = sh.receipts.insert_or_assign(request_id, r).second;
+    if (inserted) {
+      sh.receipt_order.push_back(request_id);
+      while (sh.receipts.size() > receipt_cap_) {
+        sh.receipts.erase(sh.receipt_order.front());
+        sh.receipt_order.pop_front();
+      }
     }
   }
 }
 
 Bytes Gateway::serve(ByteSpan frame_bytes, std::uint64_t now_ms) {
+  // A batch of one: the same decision and durability path as serve_batch.
+  BatchCommit batch;
+  std::vector<Bytes> out(1);
+  out[0] = serve_one(frame_bytes, nullptr, nullptr, now_ms, batch);
+  (void)commit_batch(batch, out, now_ms);
+  return std::move(out[0]);
+}
+
+Bytes Gateway::serve_one(ByteSpan frame_bytes, Decoded* pre, const core::PassVerdicts* pass,
+                         std::uint64_t now_ms, BatchCommit& batch) {
   const auto start = Clock::now();
   InflightGuard guard(inflight_, front_stats_);
 
@@ -183,8 +203,10 @@ Bytes Gateway::serve(ByteSpan frame_bytes, std::uint64_t now_ms) {
     return make_frame(MsgType::kRetryAfter, peek_request_id(frame_bytes), shed.serialize());
   }
 
-  const auto frame = Frame::deserialize(frame_bytes);
-  if (!frame) {
+  Decoded local;
+  Decoded& d = pre != nullptr ? *pre : local;
+  if (pre == nullptr) local.frame = Frame::deserialize(frame_bytes);
+  if (!d.frame) {
     front_stats_.on_reject(RejectReason::kMalformedFrame, elapsed_us(start));
     ErrorResponse err;
     err.code = RejectReason::kMalformedFrame;
@@ -192,33 +214,37 @@ Bytes Gateway::serve(ByteSpan frame_bytes, std::uint64_t now_ms) {
     return make_frame(MsgType::kError, peek_request_id(frame_bytes), err.serialize());
   }
 
-  switch (frame->type) {
-    case MsgType::kSubmitFastPay: {
-      const Bytes resp = handle_submit(*frame, now_ms);
-      // handle_submit records accept/reject counters; latency is the
-      // full serve() span, recorded there once the response exists.
-      return resp;
-    }
+  switch (d.frame->type) {
+    case MsgType::kSubmitFastPay:
+      // handle_submit (or, for an accept, commit_batch) records the
+      // counters and the latency of the full span once the response exists.
+      return handle_submit(d, pass, now_ms, batch);
     case MsgType::kQueryEscrow:
-      return handle_query_escrow(*frame, now_ms);
+      return handle_query_escrow(*d.frame, now_ms);
     case MsgType::kGetReceipt:
-      return handle_get_receipt(*frame);
+      return handle_get_receipt(*d.frame, batch);
     default: {
       ErrorResponse err;
       err.code = RejectReason::kMalformedFrame;
       err.message = "unexpected message type";
       front_stats_.on_reject(RejectReason::kMalformedFrame, elapsed_us(start));
-      return make_frame(MsgType::kError, frame->request_id, err.serialize());
+      return make_frame(MsgType::kError, d.frame->request_id, err.serialize());
     }
   }
 }
 
-Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
+Bytes Gateway::handle_submit(Decoded& d, const core::PassVerdicts* pass, std::uint64_t now_ms,
+                             BatchCommit& batch) {
   const auto start = Clock::now();
-  auto req = SubmitFastPayRequest::deserialize(frame.payload);
+  const Frame& frame = *d.frame;
+  if (!d.payload_decoded) {
+    d.submit = SubmitFastPayRequest::deserialize(frame.payload);
+    d.payload_decoded = true;
+  }
+  auto& req = d.submit;
   if (!req) {
     // No escrow id to route by — the malformed reject is front-door work.
-    record_receipt(frame.request_id, false, RejectReason::kMalformedFrame, now_ms);
+    record_receipt(batch, frame.request_id, false, RejectReason::kMalformedFrame, now_ms);
     front_stats_.on_reject(RejectReason::kMalformedFrame, elapsed_us(start));
     FastPayResultResponse resp;
     resp.accepted = false;
@@ -237,22 +263,20 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
   };
   mark(Stage::kDecode);
 
-  auto finish = [&](bool accepted, RejectReason code, std::string reason,
-                    ReservationId rid) -> Bytes {
+  auto reject = [&](RejectReason code, std::string reason) -> Bytes {
     stage_start = Clock::now();
-    record_receipt(frame.request_id, accepted, code, now_ms);
+    // A duplicate refusal records nothing: a replayed frame carries the
+    // original's request id, whose decision must stay readable.
+    if (code != RejectReason::kDuplicatePayment) {
+      record_receipt(batch, frame.request_id, false, code, now_ms);
+    }
     FastPayResultResponse resp;
-    resp.accepted = accepted;
+    resp.accepted = false;
     resp.code = code;
     resp.reason = std::move(reason);
-    resp.reservation_id = rid;
     Bytes out = make_frame(MsgType::kFastPayResult, frame.request_id, resp.serialize());
     mark(Stage::kRespond);
-    if (accepted) {
-      sh.stats.on_accept(elapsed_us(start));
-    } else {
-      sh.stats.on_reject(code, elapsed_us(start));
-    }
+    sh.stats.on_reject(code, elapsed_us(start));
     return out;
   };
 
@@ -264,7 +288,14 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     }
   }
   if (!invoice) {
-    return finish(false, RejectReason::kUnknownInvoice, "invoice not registered", 0);
+    return reject(RejectReason::kUnknownInvoice, "invoice not registered");
+  }
+
+  // A replay of a package that already holds a live reservation is
+  // refused before any further work; try_reserve re-checks under the
+  // ledger lock for replays that race the original.
+  if (sh.ledger.holds(b.escrow_id, b.btc_txid)) {
+    return reject(RejectReason::kDuplicatePayment, kDuplicateReason);
   }
 
   const auto escrow = escrow_for(b.escrow_id);
@@ -277,17 +308,17 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
   const auto terms = merchant_.check_terms(req->package, *invoice, now_ms, escrow, outstanding);
   mark(Stage::kEvaluate);
   if (!terms.accepted) {
-    return finish(false, terms.code, terms.reason, 0);
+    return reject(terms.code, terms.reason);
   }
 
-  // Stage: verify. Each signature goes through the one cached verify
-  // path on this thread (SigCache, then precomp tables, then cold GLV),
-  // so concurrent serves verify in parallel; after serve_batch's verify
-  // pass every check here is a cache hit.
-  const auto verdict = merchant_.verify_payment(req->package, *escrow);
+  // Stage: verify. Inside serve_batch every signature was checked by the
+  // batch's verify pass and its verdict is read back here; a lone serve()
+  // checks each one through the cached verify path (SigCache, then
+  // precomp tables, then cold GLV) on this thread.
+  const auto verdict = merchant_.verify_payment(req->package, *escrow, pass);
   mark(Stage::kVerify);
   if (!verdict.accepted) {
-    return finish(false, verdict.code, verdict.reason, 0);
+    return reject(verdict.code, verdict.reason);
   }
 
   // Stage: reserve. The per-escrow serialization point — the shard's
@@ -296,18 +327,26 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
   // concurrent winner. The hold lasts until the binding's own expiry:
   // the merchant is exposed for as long as the binding is disputable, so
   // releasing any earlier would undercount exposure and let later
-  // payments overcommit.
+  // payments overcommit. The hold is keyed by the payment's txid, so a
+  // replay of an accepted frame gets no second one.
   RejectReason deny = RejectReason::kNone;
   const auto rid = sh.ledger.try_reserve(b.escrow_id, b.compensation, b.expiry_ms,
-                                         merchant_.config().per_escrow_exposure_cap, &deny);
+                                         merchant_.config().per_escrow_exposure_cap, &deny,
+                                         b.btc_txid);
   mark(Stage::kReserve);
+  if (deny == RejectReason::kDuplicatePayment) {
+    return reject(deny, kDuplicateReason);
+  }
   if (!rid) {
-    return finish(false, deny, std::string("reservation denied: ") + core::describe(deny), 0);
+    return reject(deny, std::string("reservation denied: ") + core::describe(deny));
   }
 
   // Stage: durability. The reservation hits the WAL before the accept
-  // response exists — a crash after this point recovers with the
-  // collateral still held, so the acked binding stays covered.
+  // response exists — a crash after the commit recovers with the
+  // collateral still held, so the acked binding stays covered. The
+  // record is only appended here; commit_batch commits and quorum-gates
+  // the whole batch before any of its responses is built.
+  std::uint64_t wal_us = 0;
   if (store_ != nullptr) {
     store::StoreRecord rec;
     rec.kind = store::RecordKind::kReserve;
@@ -317,26 +356,13 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
     rec.expires_at_ms = b.expiry_ms;
     rec.txid = b.btc_txid.bytes;
     const auto seq = store_->append(rec);
-    if (!seq || !store_->commit()) {
+    if (!seq) {
       (void)sh.ledger.release(*rid);
-      return finish(false, RejectReason::kOverloaded, "durable store commit failed", 0);
+      return reject(RejectReason::kOverloaded, "durable store commit failed");
     }
-    // Replication gate: the accept response must not exist until a
-    // quorum of followers durably hold the reservation. On failure the
-    // local log stays consistent — the reserve is followed by a
-    // rejected-release, and both ship once followers return.
-    if (gate_ != nullptr && !gate_->quorum_commit(*seq, now_ms)) {
-      (void)sh.ledger.release(*rid);
-      store::StoreRecord rel;
-      rel.kind = store::RecordKind::kRelease;
-      rel.reservation_id = *rid;
-      rel.cause = store::ReleaseCause::kRejected;
-      (void)store_->append(rel);
-      (void)store_->commit();
-      return finish(false, RejectReason::kOverloaded, "replication quorum unreachable", 0);
-    }
-    sync_store_stats();
-    mark(Stage::kWal);
+    batch.last_seq = std::max(batch.last_seq, *seq);
+    wal_us = between_us(stage_start, Clock::now());
+    stage_start = Clock::now();
   }
 
   // Stage: commit handoff. The merchant's book is bounded by claiming a
@@ -353,23 +379,30 @@ Bytes Gateway::handle_submit(const Frame& frame, std::uint64_t now_ms) {
       rec.kind = store::RecordKind::kRelease;
       rec.reservation_id = *rid;
       rec.cause = store::ReleaseCause::kRejected;
-      (void)store_->append(rec);
-      (void)store_->commit();
+      if (const auto seq = store_->append(rec)) batch.last_seq = std::max(batch.last_seq, *seq);
     }
-    return finish(false, RejectReason::kPendingLimit, "merchant pending-payment limit reached",
-                  0);
+    return reject(RejectReason::kPendingLimit, "merchant pending-payment limit reached");
   }
-  {
-    Accepted a;
-    a.package = std::move(req->package);
-    a.invoice = *invoice;
-    a.now_ms = now_ms;
-    a.reservation_id = *rid;
-    std::lock_guard lock(sh.commit_mu);
-    sh.commit_queue.push_back(std::move(a));
-  }
+  Accepted a;
+  a.package = std::move(req->package);
+  a.invoice = *invoice;
+  a.now_ms = now_ms;
+  a.reservation_id = *rid;
+  // The accept is decided. Its receipt is staged with the batch (a
+  // GetReceipt later in the batch must see it, as it would after a
+  // serve()); the queue push and the response wait for the commit.
   mark(Stage::kCommit);
-  return finish(true, RejectReason::kNone, {}, *rid);
+  BatchCommit::Pending p;
+  p.slot = batch.slot;
+  p.request_id = frame.request_id;
+  p.receipt = batch.receipts.size();
+  record_receipt(batch, frame.request_id, true, RejectReason::kNone, now_ms);
+  p.shard = shard_index(a.package.binding.binding.escrow_id);
+  p.start = start;
+  p.wal_us = wal_us;
+  p.accepted = std::move(a);
+  batch.accepts.push_back(std::move(p));
+  return {};
 }
 
 Bytes Gateway::handle_query_escrow(const Frame& frame, std::uint64_t now_ms) {
@@ -393,7 +426,7 @@ Bytes Gateway::handle_query_escrow(const Frame& frame, std::uint64_t now_ms) {
   return make_frame(MsgType::kEscrowInfo, frame.request_id, resp.serialize());
 }
 
-Bytes Gateway::handle_get_receipt(const Frame& frame) {
+Bytes Gateway::handle_get_receipt(const Frame& frame, const BatchCommit& batch) {
   const auto req = GetReceiptRequest::deserialize(frame.payload);
   if (!req) {
     ErrorResponse err;
@@ -402,7 +435,13 @@ Bytes Gateway::handle_get_receipt(const Frame& frame) {
     return make_frame(MsgType::kError, frame.request_id, err.serialize());
   }
   ReceiptInfoResponse resp;  // found=false default
-  {
+  // A decision earlier in this batch is not published until its commit;
+  // it answers first, as it would after a serve() of that frame.
+  const auto staged = std::find_if(batch.receipts.rbegin(), batch.receipts.rend(),
+                                   [&](const auto& r) { return r.first == req->request_id; });
+  if (staged != batch.receipts.rend()) {
+    resp = staged->second;
+  } else {
     Shard& sh = receipt_shard(req->request_id);
     std::lock_guard lock(sh.receipts_mu);
     if (auto it = sh.receipts.find(req->request_id); it != sh.receipts.end()) {
@@ -413,26 +452,52 @@ Bytes Gateway::handle_get_receipt(const Frame& frame) {
 }
 
 std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
-  // Phase 1 (parallel): pre-verify every signature the sequential serves
-  // below would check, warming the global caches — the same pass
-  // MerchantService::evaluate_fastpay_batch runs. Timed as the
-  // kVerifyPass stage, its wall time split evenly across the submit
-  // frames it covered.
+  // Phase 1 (parallel): decode every frame once and collect the
+  // signature checks the decisions below will need, then verify them
+  // all in one pass. Job order follows frame order, so the verify
+  // caches end up the same for any pool size. Timed as the kVerifyPass
+  // stage, its wall time split evenly across the submit frames it
+  // covered.
   const auto pass_start = Clock::now();
+  const std::size_t n = frames.size();
+  std::vector<Decoded> decoded(n);
+  std::vector<std::size_t> submit_frames;
+  for (std::size_t i = 0; i < n; ++i) {
+    decoded[i].frame = Frame::deserialize(frames[i]);
+    if (decoded[i].frame && decoded[i].frame->type == MsgType::kSubmitFastPay) {
+      submit_frames.push_back(i);
+    }
+  }
+  // Only submits carry real decode and sighash work, so only they fan
+  // out (a batch with one submit stays on this thread).
+  std::vector<std::vector<crypto::SigCheckJob>> frame_jobs(n);
+  pool_.parallel_for(submit_frames.size(), [&](std::size_t k) {
+    const std::size_t i = submit_frames[k];
+    Decoded& d = decoded[i];
+    d.submit = SubmitFastPayRequest::deserialize(d.frame->payload);
+    d.payload_decoded = true;
+    if (!d.submit) return;
+    const auto& pkg = d.submit->package;
+    merchant_.collect_sig_checks(pkg, escrow_for(pkg.binding.binding.escrow_id), frame_jobs[i],
+                                 &d.sigs);
+  });
   std::vector<crypto::SigCheckJob> jobs;
   std::uint64_t submits = 0;
-  for (const auto& bytes : frames) {
-    const auto frame = Frame::deserialize(bytes);
-    if (!frame || frame->type != MsgType::kSubmitFastPay) continue;
-    const auto req = SubmitFastPayRequest::deserialize(frame->payload);
-    if (!req) continue;
+  for (const std::size_t i : submit_frames) {
+    if (!decoded[i].submit) continue;
     ++submits;
-    merchant_.collect_sig_checks(req->package, escrow_for(req->package.binding.binding.escrow_id),
-                                 jobs);
+    const std::size_t base = jobs.size();
+    core::SigJobIndex& at = decoded[i].sigs;
+    if (at.binding != core::SigJobIndex::kNone) at.binding += base;
+    for (auto& j : at.inputs) {
+      if (j != core::SigJobIndex::kNone) j += base;
+    }
+    jobs.insert(jobs.end(), frame_jobs[i].begin(), frame_jobs[i].end());
   }
+  std::vector<std::uint8_t> ok;
   if (!jobs.empty()) {
-    (void)crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
-                               &crypto::PubkeyPrecompCache::global());
+    ok = crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
+                              &crypto::PubkeyPrecompCache::global());
     verify_pass_.on_pass(jobs.size());
   }
   if (submits > 0) {
@@ -440,14 +505,100 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
     for (std::uint64_t i = 0; i < submits; ++i) front_stats_.on_stage(Stage::kVerifyPass, share_us);
   }
 
-  // Phase 2 (sequential): decisions in input order — identical responses
-  // to a plain serve() loop for any pool size, just with hot caches.
-  std::vector<Bytes> out;
-  out.reserve(frames.size());
-  for (const auto& bytes : frames) {
-    out.push_back(serve(bytes, now_ms));
+  // Phase 2 (sequential): decisions in input order — the same responses
+  // as a plain serve() loop, with each signature's verdict read from the
+  // pass. Accepts only append their WAL records; the batch commits once.
+  BatchCommit batch;
+  std::vector<Bytes> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    batch.slot = i;
+    const core::PassVerdicts pass{jobs, ok, decoded[i].sigs};
+    out[i] = serve_one(frames[i], &decoded[i], &pass, now_ms, batch);
+  }
+  if (!commit_batch(batch, out, now_ms)) {
+    // The undone accepts were visible to reads earlier in this batch
+    // (their receipts, their escrow's reserved total). Answer the reads
+    // again so no response shows an accept that did not survive.
+    for (std::size_t i = 0; i < n; ++i) {
+      const Decoded& d = decoded[i];
+      if (d.frame &&
+          (d.frame->type == MsgType::kQueryEscrow || d.frame->type == MsgType::kGetReceipt)) {
+        out[i] = serve(frames[i], now_ms);
+      }
+    }
   }
   return out;
+}
+
+bool Gateway::commit_batch(BatchCommit& batch, std::vector<Bytes>& out, std::uint64_t now_ms) {
+  // One group commit and one quorum round for every accept of the batch
+  // (a release that a denied claim logged needs the commit only).
+  const auto t0 = Clock::now();
+  bool committed = true;
+  bool quorum = true;
+  if (store_ != nullptr && batch.last_seq != 0) {
+    committed = store_->commit();
+    quorum = committed && (batch.accepts.empty() || gate_ == nullptr ||
+                           gate_->quorum_commit(batch.last_seq, now_ms));
+  }
+  if (!quorum) {
+    const char* why = committed ? "replication quorum unreachable" : "durable store commit failed";
+    // Undo every accept: hold released, book slot returned. After a
+    // quorum failure the local log stays consistent — each reserve is
+    // followed by a rejected-release, and both ship once followers
+    // return (a failed local commit logs nothing more).
+    for (auto& p : batch.accepts) {
+      Shard& sh = *shards_[p.shard];
+      const ReservationId rid = p.accepted.reservation_id;
+      (void)sh.ledger.release(rid);
+      queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
+      if (committed) {
+        store::StoreRecord rel;
+        rel.kind = store::RecordKind::kRelease;
+        rel.reservation_id = rid;
+        rel.cause = store::ReleaseCause::kRejected;
+        (void)store_->append(rel);
+      }
+      if (p.receipt < batch.receipts.size()) {
+        batch.receipts[p.receipt].second.accepted = false;
+        batch.receipts[p.receipt].second.code = RejectReason::kOverloaded;
+      }
+      FastPayResultResponse resp;
+      resp.accepted = false;
+      resp.code = RejectReason::kOverloaded;
+      resp.reason = why;
+      out[p.slot] = make_frame(MsgType::kFastPayResult, p.request_id, resp.serialize());
+      sh.stats.on_reject(RejectReason::kOverloaded, elapsed_us(p.start));
+    }
+    if (committed) (void)store_->commit();
+    publish_receipts(batch);
+    sync_store_stats();
+    return false;
+  }
+  const std::uint64_t commit_us = elapsed_us(t0);
+  const std::size_t count = batch.accepts.size();
+  if (batch.last_seq != 0) sync_store_stats();
+  publish_receipts(batch);
+  for (auto& p : batch.accepts) {
+    Shard& sh = *shards_[p.shard];
+    const ReservationId rid = p.accepted.reservation_id;
+    if (store_ != nullptr) {
+      sh.stats.on_stage(Stage::kWal, p.wal_us + (commit_us + count / 2) / count);
+    }
+    {
+      std::lock_guard lock(sh.commit_mu);
+      sh.commit_queue.push_back(std::move(p.accepted));
+    }
+    const auto t = Clock::now();
+    FastPayResultResponse resp;
+    resp.accepted = true;
+    resp.code = RejectReason::kNone;
+    resp.reservation_id = rid;
+    out[p.slot] = make_frame(MsgType::kFastPayResult, p.request_id, resp.serialize());
+    sh.stats.on_stage(Stage::kRespond, elapsed_us(t));
+    sh.stats.on_accept(elapsed_us(p.start));
+  }
+  return true;
 }
 
 std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
@@ -517,10 +668,8 @@ std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
   std::vector<psc::PscTx> actions;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     for (auto& a : epoch[i]) {
-      const btc::Txid txid = a.package.binding.binding.btc_txid;
       auto txs = merchant_.accept_payment(std::move(a.package), std::move(a.invoice), a.now_ms);
       for (auto& tx : txs) actions.push_back(std::move(tx));
-      shards_[i]->live_reservations.emplace(a.reservation_id, txid);
     }
   }
   return actions;
@@ -540,7 +689,8 @@ void Gateway::reconcile(std::uint64_t now_ms) {
   }
 
   // Release reservations whose payments resolved (settled on BTC or
-  // judged on PSC) — the merchant book is the source of truth.
+  // judged on PSC) — the merchant book is the source of truth, and each
+  // hold is keyed by its payment's txid.
   bool logged = false;
   auto log_release = [&](ReservationId rid, store::ReleaseCause cause) {
     if (store_ == nullptr) return;
@@ -551,35 +701,18 @@ void Gateway::reconcile(std::uint64_t now_ms) {
     (void)store_->append(rec);
     logged = true;
   };
-  std::unordered_set<std::string> resolved;
-  bool resolved_built = false;
-  for (auto& shard : shards_) {
-    if (shard->live_reservations.empty()) continue;
-    if (!resolved_built) {
-      for (const auto& p : merchant_.pending()) {
-        if (p.settled || p.judged) {
-          resolved.insert(p.package.binding.binding.btc_txid.to_string());
-        }
-      }
-      resolved_built = true;
-    }
-    for (auto it = shard->live_reservations.begin(); it != shard->live_reservations.end();) {
-      if (resolved.count(it->second.to_string()) > 0) {
-        (void)shard->ledger.release(it->first);
-        log_release(it->first, store::ReleaseCause::kResolved);
-        it = shard->live_reservations.erase(it);
-      } else {
-        ++it;
-      }
+  for (const auto& p : merchant_.pending()) {
+    if (!p.settled && !p.judged) continue;
+    const core::PaymentBinding& b = p.package.binding.binding;
+    if (const auto rid = shard_for(b.escrow_id).ledger.release_payment(b.escrow_id, b.btc_txid)) {
+      log_release(*rid, store::ReleaseCause::kResolved);
     }
   }
 
   // Drop reservations past their deadline: the binding can no longer be
   // disputed, so the collateral hold serves nobody.
   std::vector<ReservationId> expired;
-  for (auto& shard : shards_) {
-    (void)shard->ledger.expire_due(now_ms, store_ != nullptr ? &expired : nullptr);
-  }
+  for (auto& shard : shards_) (void)shard->ledger.expire_due(now_ms, &expired);
   for (const ReservationId rid : expired) log_release(rid, store::ReleaseCause::kExpired);
   if (logged) {
     (void)store_->commit();

@@ -12,10 +12,14 @@
 //     -> verify (MerchantService::verify_payment — binding + input
 //        signatures through crypto::verify_signature: SigCache, then the
 //        per-pubkey precomp cache, then a cold GLV verify, on the serving
-//        thread itself)
-//     -> reserve (ReservationLedger::try_reserve on the shard's ledger —
-//        the per-escrow serialization point; two racing fast-pays cannot
-//        overcommit one escrow)
+//        thread itself; inside serve_batch, the verdicts of the batch's
+//        verify pass)
+//     -> reserve (ReservationLedger::try_reserve on the shard's ledger,
+//        keyed by the payment's txid — the per-escrow serialization
+//        point; two racing fast-pays cannot overcommit one escrow, and
+//        two copies of one payment cannot both hold)
+//     -> wal (reserve record appended; one commit + quorum round covers
+//        the whole batch — a serve() is a batch of one)
 //     -> respond (+ queue the accept on the shard for epoch flush)
 //
 // Reservation ids draw from one gateway-wide counter and embed the
@@ -36,6 +40,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -119,7 +124,8 @@ class Gateway {
   Gateway& operator=(const Gateway&) = delete;
 
   /// Attach a durable store: from here on every granted reservation is
-  /// WAL-committed before its accept response leaves serve(), and
+  /// WAL-committed before its accept response leaves serve() or
+  /// serve_batch(), and
   /// flush_accepted() drains the commit queues through the WAL before
   /// running merchant bookkeeping. Pass nullptr to detach. The store
   /// outlives the gateway's use of it (not owned).
@@ -151,14 +157,25 @@ class Gateway {
   /// Serve one encoded frame, returning the encoded response frame.
   /// Thread-safe; synchronous. `now_ms` is simulation/wall time supplied
   /// by the caller so the gateway stays clockless and deterministic.
+  /// Signatures are checked through the cached verify path on the
+  /// calling thread; the decision and its commit are serve_batch's, for
+  /// a batch of one.
   [[nodiscard]] Bytes serve(ByteSpan frame_bytes, std::uint64_t now_ms);
 
-  /// Bulk intake: one parallel batch-verify pass over every submit
-  /// frame's signature jobs (MerchantService::collect_sig_checks) warms
-  /// the verify caches, then frames are served in order. Responses are
-  /// index-aligned and identical to serving sequentially — for any pool
-  /// size. The pass is timed as Stage::kVerifyPass (one sample per submit
-  /// frame, each an even share of the pass).
+  /// Bulk intake. Phase 1 decodes every frame once (submit payloads and
+  /// their signature checks, MerchantService::collect_sig_checks, on the
+  /// pool) and verifies every check in one crypto::batch_verify pass,
+  /// timed as Stage::kVerifyPass (one sample per submit frame, each an
+  /// even share of the pass). Phase 2 decides
+  /// the frames in order, reading each signature's verdict from the pass
+  /// instead of checking it again. The batch is the durability boundary:
+  /// each accept's reserve record is appended as it is decided, then one
+  /// WAL commit and one quorum commit cover the whole batch before any
+  /// response is returned, and receipts are published only then. If
+  /// either fails, every accept of the batch is undone (hold released,
+  /// release record logged, nothing queued) and answered kOverloaded.
+  /// Otherwise responses are index-aligned and identical to a serve()
+  /// loop over the same frames — for any pool size.
   [[nodiscard]] std::vector<Bytes> serve_batch(const std::vector<Bytes>& frames,
                                                std::uint64_t now_ms);
 
@@ -233,6 +250,37 @@ class Gateway {
     ReservationId reservation_id = 0;
   };
 
+  /// A frame decoded once. serve() fills it as it goes; serve_batch
+  /// decodes every frame up front and records where each submit's
+  /// signature checks sit in the batch's verify pass.
+  struct Decoded {
+    std::optional<Frame> frame;
+    bool payload_decoded = false;  ///< `submit` is final (set or known bad)
+    std::optional<SubmitFastPayRequest> submit;
+    core::SigJobIndex sigs;
+  };
+
+  /// One batch's durability state (serve() is a batch of one), passed
+  /// down the call chain — serving is reentrant, so it never lives in a
+  /// member: the accepts decided so far, each with its reserve record
+  /// appended but not yet committed; the receipts of every decision, in
+  /// order, published at the commit; and the highest WAL sequence used.
+  struct BatchCommit {
+    struct Pending {
+      std::size_t slot = 0;  ///< index of the frame (and its response)
+      std::uint64_t request_id = 0;
+      std::size_t receipt = 0;  ///< index into `receipts`
+      std::size_t shard = 0;
+      std::chrono::steady_clock::time_point start;  ///< handle_submit entry
+      std::uint64_t wal_us = 0;                     ///< this accept's append
+      Accepted accepted;
+    };
+    std::size_t slot = 0;  ///< frame being decided
+    std::vector<Pending> accepts;
+    std::vector<std::pair<std::uint64_t, ReceiptInfoResponse>> receipts;
+    std::uint64_t last_seq = 0;
+  };
+
   /// Everything one escrow-affinity shard owns. Requests for different
   /// shards share nothing on the hot path except the global verify
   /// caches (sharded), the in-flight counter and the reservation-id
@@ -249,10 +297,6 @@ class Gateway {
     mutable std::mutex receipts_mu;
     std::unordered_map<std::uint64_t, ReceiptInfoResponse> receipts;
     std::deque<std::uint64_t> receipt_order;  ///< FIFO eviction order
-
-    // Control-thread state (flush/reconcile are single-threaded by
-    // contract, so no lock).
-    std::unordered_map<ReservationId, btc::Txid> live_reservations;
   };
 
   [[nodiscard]] Shard& shard_for(EscrowId id) noexcept { return *shards_[shard_index(id)]; }
@@ -265,12 +309,25 @@ class Gateway {
                     shards_.size()];
   }
 
-  [[nodiscard]] Bytes handle_submit(const Frame& frame, std::uint64_t now_ms);
+  /// Decide one frame that may be decoded already (`pre`), reading a
+  /// submit's signature verdicts from a batch verify pass (`pass`, null
+  /// to verify on this thread). An accept's response is left empty for
+  /// commit_batch to fill.
+  [[nodiscard]] Bytes serve_one(ByteSpan frame_bytes, Decoded* pre,
+                                const core::PassVerdicts* pass, std::uint64_t now_ms,
+                                BatchCommit& batch);
+  [[nodiscard]] Bytes handle_submit(Decoded& d, const core::PassVerdicts* pass,
+                                    std::uint64_t now_ms, BatchCommit& batch);
+  /// Commit a batch's appended records (WAL, then quorum if it holds an
+  /// accept), publish its receipts, then answer its accepts: accepted,
+  /// or all undone and kOverloaded. Returns false on undo.
+  bool commit_batch(BatchCommit& batch, std::vector<Bytes>& out, std::uint64_t now_ms);
   [[nodiscard]] Bytes handle_query_escrow(const Frame& frame, std::uint64_t now_ms);
-  [[nodiscard]] Bytes handle_get_receipt(const Frame& frame);
+  [[nodiscard]] Bytes handle_get_receipt(const Frame& frame, const BatchCommit& batch);
   [[nodiscard]] std::optional<EscrowView> escrow_for(EscrowId id);
-  void record_receipt(std::uint64_t request_id, bool accepted, RejectReason code,
-                      std::uint64_t now_ms);
+  void record_receipt(BatchCommit& batch, std::uint64_t request_id, bool accepted,
+                      RejectReason code, std::uint64_t now_ms);
+  void publish_receipts(const BatchCommit& batch);
   void sync_store_stats();
 
   core::MerchantService& merchant_;

@@ -23,10 +23,21 @@ void ReservationLedger::erase_escrow(EscrowId id) {
   s.escrows.erase(it);
 }
 
-std::optional<ReservationId> ReservationLedger::try_reserve(EscrowId id, psc::Value amount,
-                                                            std::uint64_t expires_at_ms,
-                                                            psc::Value exposure_cap,
-                                                            core::RejectReason* deny_reason) {
+std::unordered_map<ReservationId, ReservationLedger::Reservation>::iterator
+ReservationLedger::erase_reservation(Stripe& s, Entry& e,
+                                     std::unordered_map<ReservationId, Reservation>::iterator it) {
+  e.local_reserved -= it->second.amount;
+  if (it->second.payment) {
+    const auto held = e.by_payment.find(*it->second.payment);
+    if (held != e.by_payment.end() && held->second == it->first) e.by_payment.erase(held);
+  }
+  s.by_id.erase(it->first);
+  return e.reservations.erase(it);
+}
+
+std::optional<ReservationId> ReservationLedger::try_reserve(
+    EscrowId id, psc::Value amount, std::uint64_t expires_at_ms, psc::Value exposure_cap,
+    core::RejectReason* deny_reason, const std::optional<btc::Txid>& payment) {
   Stripe& s = stripe_for(id);
   auto deny = [&](core::RejectReason why) -> std::optional<ReservationId> {
     if (deny_reason) *deny_reason = why;
@@ -37,6 +48,9 @@ std::optional<ReservationId> ReservationLedger::try_reserve(EscrowId id, psc::Va
   auto it = s.escrows.find(id);
   if (it == s.escrows.end()) return deny(core::RejectReason::kEscrowLookupFailed);
   Entry& e = it->second;
+  if (payment && e.by_payment.contains(*payment)) {
+    return deny(core::RejectReason::kDuplicatePayment);
+  }
   if (e.view.state != core::EscrowState::kActive) {
     return deny(core::RejectReason::kEscrowNotActive);
   }
@@ -60,9 +74,32 @@ std::optional<ReservationId> ReservationLedger::try_reserve(EscrowId id, psc::Va
   const ReservationId rid =
       (next_id_->fetch_add(1, std::memory_order_relaxed) << 8) | affinity(id);
   e.local_reserved += amount;
-  e.reservations.emplace(rid, Reservation{id, amount, expires_at_ms});
+  e.reservations.emplace(rid, Reservation{id, amount, expires_at_ms, payment});
+  if (payment) e.by_payment.emplace(*payment, rid);
   s.by_id.emplace(rid, id);
   granted_.fetch_add(1, std::memory_order_relaxed);
+  return rid;
+}
+
+bool ReservationLedger::holds(EscrowId id, const btc::Txid& payment) const {
+  const Stripe& s = stripe_for(id);
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.escrows.find(id);
+  return it != s.escrows.end() && it->second.by_payment.contains(payment);
+}
+
+std::optional<ReservationId> ReservationLedger::release_payment(EscrowId id,
+                                                                const btc::Txid& payment) {
+  Stripe& s = stripe_for(id);
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto esc = s.escrows.find(id);
+  if (esc == s.escrows.end()) return std::nullopt;
+  Entry& e = esc->second;
+  const auto held = e.by_payment.find(payment);
+  if (held == e.by_payment.end()) return std::nullopt;
+  const ReservationId rid = held->second;
+  erase_reservation(s, e, e.reservations.find(rid));
+  released_.fetch_add(1, std::memory_order_relaxed);
   return rid;
 }
 
@@ -78,8 +115,7 @@ bool ReservationLedger::release(ReservationId id) {
   if (esc == s.escrows.end()) return false;
   auto res = esc->second.reservations.find(id);
   if (res == esc->second.reservations.end()) return false;
-  esc->second.local_reserved -= res->second.amount;
-  esc->second.reservations.erase(res);
+  erase_reservation(s, esc->second, res);
   released_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -92,10 +128,8 @@ std::size_t ReservationLedger::expire_due(std::uint64_t now_ms,
     for (auto& [eid, entry] : s.escrows) {
       for (auto it = entry.reservations.begin(); it != entry.reservations.end();) {
         if (it->second.expires_at_ms <= now_ms) {
-          entry.local_reserved -= it->second.amount;
-          s.by_id.erase(it->first);
           if (expired != nullptr) expired->push_back(it->first);
-          it = entry.reservations.erase(it);
+          it = erase_reservation(s, entry, it);
           ++dropped;
         } else {
           ++it;
@@ -108,7 +142,8 @@ std::size_t ReservationLedger::expire_due(std::uint64_t now_ms,
 }
 
 bool ReservationLedger::restore_reservation(ReservationId id, EscrowId escrow_id,
-                                            psc::Value amount, std::uint64_t expires_at_ms) {
+                                            psc::Value amount, std::uint64_t expires_at_ms,
+                                            const std::optional<btc::Txid>& payment) {
   Stripe& s = stripe_for(escrow_id);
   // Ids embed their escrow's affinity byte (see try_reserve); release()
   // routes by it, so an id that disagrees with its claimed escrow is a
@@ -119,7 +154,10 @@ bool ReservationLedger::restore_reservation(ReservationId id, EscrowId escrow_id
   if (s.by_id.contains(id)) return false;
   Entry& e = s.escrows[escrow_id];  // default view until reconcile refreshes it
   e.local_reserved += amount;
-  e.reservations.emplace(id, Reservation{escrow_id, amount, expires_at_ms});
+  e.reservations.emplace(id, Reservation{escrow_id, amount, expires_at_ms, payment});
+  // A log written before the replay guard may hold two reservations for
+  // one payment; both restore, and the first keys the guard.
+  if (payment) e.by_payment.emplace(*payment, id);
   s.by_id.emplace(id, escrow_id);
   // Keep fresh grants collision-free with every restored id.
   const ReservationId counter = (id >> 8) + 1;

@@ -8,7 +8,9 @@
 // escrows never contend. Within a stripe, try_reserve checks
 //   on-chain reserved + local reservations + amount <= collateral
 // (and an optional merchant-side exposure cap) and records the
-// reservation atomically under the stripe lock. The invariant the TSan
+// reservation atomically under the stripe lock. A reservation keyed by
+// its BTC payment txid is refused while another live one on the escrow
+// holds that txid, so a replayed package cannot hold collateral twice. The invariant the TSan
 // hammer proves: at no instant does the sum of granted local
 // reservations plus the on-chain reserved figure exceed collateral.
 //
@@ -42,6 +44,7 @@ class ReservationLedger {
     EscrowId escrow_id = 0;
     psc::Value amount = 0;
     std::uint64_t expires_at_ms = 0;
+    std::optional<btc::Txid> payment;  ///< the BTC payment it covers, if keyed
   };
 
   /// Point-in-time view of one escrow's ledger entry.
@@ -76,17 +79,27 @@ class ReservationLedger {
   /// and, when `exposure_cap > 0`,
   ///   local_reserved + amount <= exposure_cap
   /// and the escrow is known, ACTIVE, and unlocks after `expires_at_ms`.
+  /// A reservation keyed by a `payment` txid is also refused
+  /// (kDuplicatePayment) while another live reservation on the escrow
+  /// holds that txid: a replayed package never holds collateral twice.
   /// Returns the reservation id, or nullopt without side effects; when
   /// denied and `deny_reason` is non-null it carries the typed cause.
-  [[nodiscard]] std::optional<ReservationId> try_reserve(EscrowId id, psc::Value amount,
-                                                         std::uint64_t expires_at_ms,
-                                                         psc::Value exposure_cap = 0,
-                                                         core::RejectReason* deny_reason = nullptr);
+  [[nodiscard]] std::optional<ReservationId> try_reserve(
+      EscrowId id, psc::Value amount, std::uint64_t expires_at_ms, psc::Value exposure_cap = 0,
+      core::RejectReason* deny_reason = nullptr,
+      const std::optional<btc::Txid>& payment = std::nullopt);
+
+  /// Whether a live reservation on the escrow holds the payment's txid.
+  [[nodiscard]] bool holds(EscrowId id, const btc::Txid& payment) const;
 
   /// Release a reservation (payment settled on-chain, or rejected after
   /// reserve). Returns false if the id is unknown — double releases are
   /// loud, not silent no-ops.
   bool release(ReservationId id);
+
+  /// Release the live reservation holding the payment's txid on the
+  /// escrow, if any, and return its id.
+  std::optional<ReservationId> release_payment(EscrowId id, const btc::Txid& payment);
 
   /// Drop every reservation whose expires_at_ms <= now. Returns how many
   /// were dropped; when `expired` is non-null the dropped ids are
@@ -103,7 +116,8 @@ class ReservationLedger {
   /// affinity byte is geometry-independent, a log written under any
   /// stripe or shard count restores into any ledger.
   bool restore_reservation(ReservationId id, EscrowId escrow_id, psc::Value amount,
-                           std::uint64_t expires_at_ms);
+                           std::uint64_t expires_at_ms,
+                           const std::optional<btc::Txid>& payment = std::nullopt);
 
   /// Refresh a batch of escrow views from authoritative contract state
   /// (caller fetches them via MerchantService::escrow_view). Equivalent
@@ -141,6 +155,8 @@ class ReservationLedger {
     EscrowView view;
     psc::Value local_reserved = 0;
     std::unordered_map<ReservationId, Reservation> reservations;
+    /// Payment txid -> the reservation holding it (keyed ones only).
+    std::unordered_map<btc::Txid, ReservationId, btc::Hash256Hasher> by_payment;
   };
 
   // Cache-line sized so stripe locks never false-share.
@@ -152,6 +168,11 @@ class ReservationLedger {
     // completes the hop from id to escrow entry.
     std::unordered_map<ReservationId, EscrowId> by_id;
   };
+
+  /// Drop a reservation from its entry and stripe (stripe lock held);
+  /// returns the entry's next reservation.
+  static std::unordered_map<ReservationId, Reservation>::iterator erase_reservation(
+      Stripe& s, Entry& e, std::unordered_map<ReservationId, Reservation>::iterator it);
 
   [[nodiscard]] Stripe& stripe_for(EscrowId id) noexcept {
     return stripes_[affinity(id) % stripes_.size()];

@@ -52,10 +52,13 @@ class LatencyHistogram {
 /// p99 blow-up is attributable to decode vs verify vs WAL without a
 /// profiler. kEvaluate covers the merchant's terms/coverage check,
 /// kVerify its signature and input checks, kCommit the queue handoff,
-/// kRespond receipt recording + frame encoding. kVerifyPass is
-/// serve_batch's batch-verify pass ahead of the per-frame stages: its
-/// wall time is split evenly across the submit frames it covered, one
-/// sample per frame.
+/// kRespond receipt recording + frame encoding, kWal the reserve
+/// record's append and commit (inside serve_batch: the append plus an
+/// even share of the batch's one commit and quorum round). kVerifyPass
+/// is serve_batch's phase 1 ahead of the per-frame stages — decoding
+/// every frame and batch-verifying its signature jobs: its wall time is
+/// split evenly across the submit frames it covered, one sample per
+/// frame.
 enum class Stage : std::size_t {
   kDecode = 0,
   kVerify,

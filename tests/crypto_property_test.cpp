@@ -90,6 +90,87 @@ TEST_P(U256Property, ModularInverseOnSecpPrimes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, U256Property, ::testing::Range<std::uint64_t>(1, 21));
 
+// The flat field kernel (fadd/fsub/fmul/fsqr/fneg: branch-free carry
+// chains with a masked final subtract of p) against the generic U512
+// reference (addmod/submod/mulmod), on 10^5 random canonical operands
+// plus the edge values where a carry or the final subtract flips.
+U256 field_from_hex(const char* hex) { return *U256::from_hex(hex); }
+
+std::vector<U256> field_edge_values() {
+  const U256& p = secp::field_p();
+  const U256 one = U256::one();
+  const U256 half = p >> 1;  // (p - 1) / 2
+  return {
+      U256::zero(),
+      one,
+      U256(2),
+      p - one,
+      p - U256(2),
+      half,
+      half + one,  // (p + 1) / 2: doubles to p + 1
+      U256(0x1000003D1ULL),  // 2^256 mod p
+      field_from_hex("ffffffffffffffffffffffffffffffffffffffffffffffffffffffff00000000"),
+      field_from_hex("00000000000000000000000000000000ffffffffffffffffffffffffffffffff"),
+      field_from_hex("ffffffffffffffffffffffffffffffff00000000000000000000000000000000"),
+      field_from_hex("8000000000000000000000000000000000000000000000000000000000000000"),
+      field_from_hex("7fffffffffffffffffffffffffffffffffffffffffffffffffffffff7ffffe17"),
+  };
+}
+
+TEST(FieldKernel, MatchesU512ReferenceOnRandomAndEdgeOperands) {
+  const U256& p = secp::field_p();
+  auto check = [&](const U256& a, const U256& b) {
+    // Canonical operands: every op must equal the reference and stay < p.
+    ASSERT_EQ(secp::fadd(a, b), addmod(a, b, p)) << a.to_hex() << " + " << b.to_hex();
+    ASSERT_EQ(secp::fsub(a, b), submod(a, b, p)) << a.to_hex() << " - " << b.to_hex();
+    ASSERT_EQ(secp::fmul(a, b), mulmod(a, b, p)) << a.to_hex() << " * " << b.to_hex();
+    ASSERT_EQ(secp::fsqr(a), mulmod(a, a, p)) << a.to_hex() << "^2";
+    ASSERT_EQ(secp::fneg(a), submod(U256::zero(), a, p)) << "-" << a.to_hex();
+  };
+  std::vector<U256> edges = field_edge_values();
+  for (U256& e : edges) e = e % p;  // canonical operands only
+  for (const U256& a : edges) {
+    for (const U256& b : edges) check(a, b);
+  }
+  Rng rng(0xf1e1d);
+  for (int i = 0; i < 100000; ++i) {
+    const U256 a = random_u256(rng) % p;
+    // Every fourth pair pairs a random operand with an edge value, so
+    // sums and products just below and above p keep turning up.
+    const U256 b = (i & 3) == 0 ? edges[static_cast<std::size_t>(i / 4) % edges.size()]
+                                : random_u256(rng) % p;
+    check(a, b);
+  }
+}
+
+TEST(FieldKernel, MulAndSqrReduceAnyLimbPattern) {
+  // fmul/fsqr reduce the full 512-bit product, so they also take
+  // operands at or above p. All-ones limbs stress every carry; the
+  // (a, 2^240) pairs are built so the second fold of the reduction
+  // carries past 2^256 (its rarest branch of the old kernel).
+  const U256& p = secp::field_p();
+  std::vector<U256> ops = field_edge_values();
+  ops.push_back(U256::zero() - U256::one());  // 2^256 - 1: all limbs ones
+  ops.push_back(p);
+  ops.push_back(p + U256(7));
+  ops.push_back(field_from_hex("0001edcbf8a378901820e213ea8131fe08f0357fe343d2edaa2802f99d4c1234"));
+  ops.push_back(field_from_hex("03e8edbd140cb1667b8ef7e2735ff8c5aebb9590261a34de95fc3a85947d1234"));
+  ops.push_back(field_from_hex("fde8ea02fa1aeaa37f46860743da7e460b2416af7b456c4a8c0db77e81bf1234"));
+  ops.push_back(U256::one() << 240);
+  for (const U256& a : ops) {
+    EXPECT_EQ(secp::fsqr(a), mulmod(a, a, p)) << a.to_hex();
+    for (const U256& b : ops) {
+      EXPECT_EQ(secp::fmul(a, b), mulmod(a, b, p)) << a.to_hex() << " * " << b.to_hex();
+    }
+  }
+  Rng rng(0x5a5a);
+  for (int i = 0; i < 20000; ++i) {
+    const U256 a = random_u256(rng), b = random_u256(rng);
+    ASSERT_EQ(secp::fmul(a, b), mulmod(a, b, p));
+    ASSERT_EQ(secp::fsqr(a), mulmod(a, a, p));
+  }
+}
+
 class CurveProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CurveProperty, ScalarMulLandsOnCurve) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <limits>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "btcfast/customer.h"
@@ -251,6 +252,44 @@ TEST(ReservationLedger, ReserveThenRelease) {
   EXPECT_EQ(ledger.total_released(), 1u);
 }
 
+TEST(ReservationLedger, PaymentKeyHoldsOnceUntilReleasedOrExpired) {
+  // A reservation keyed by a payment txid refuses a second hold for that
+  // txid on the escrow, and the key goes with the hold on every path out
+  // of the ledger: release, release_payment and expiry.
+  ReservationLedger ledger(4);
+  ledger.upsert_escrow(1, active_view(100));
+  ledger.upsert_escrow(2, active_view(100));
+  btc::Txid a;
+  a.bytes[0] = 0xaa;
+  btc::Txid b;
+  b.bytes[0] = 0xbb;
+
+  RejectReason why = RejectReason::kNone;
+  const auto first = ledger.try_reserve(1, 10, 500, 0, &why, a);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(ledger.holds(1, a));
+  EXPECT_FALSE(ledger.holds(2, a));
+  EXPECT_FALSE(ledger.try_reserve(1, 10, 500, 0, &why, a).has_value());
+  EXPECT_EQ(why, RejectReason::kDuplicatePayment);
+  EXPECT_EQ(ledger.snapshot(1)->local_reserved, 10u);
+  // Unkeyed holds and other payments are unaffected.
+  EXPECT_TRUE(ledger.try_reserve(1, 10, 500).has_value());
+  EXPECT_TRUE(ledger.try_reserve(1, 10, 500, 0, nullptr, b).has_value());
+
+  EXPECT_TRUE(ledger.release(*first));
+  EXPECT_FALSE(ledger.holds(1, a));
+  const auto second = ledger.try_reserve(1, 10, /*expires_at_ms=*/400, 0, nullptr, a);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(ledger.release_payment(1, a), second);
+  EXPECT_EQ(ledger.release_payment(1, a), std::nullopt);
+
+  ASSERT_TRUE(ledger.try_reserve(1, 10, /*expires_at_ms=*/400, 0, nullptr, a).has_value());
+  EXPECT_EQ(ledger.expire_due(400), 1u);
+  EXPECT_FALSE(ledger.holds(1, a));
+  EXPECT_TRUE(ledger.holds(1, b));
+  EXPECT_EQ(ledger.snapshot(1)->local_reserved, 20u);
+}
+
 TEST(ReservationLedger, DoubleReleaseIsLoud) {
   ReservationLedger ledger;
   ledger.upsert_escrow(1, active_view(100));
@@ -486,6 +525,16 @@ struct GatewayUnit : ::testing::Test {
     req.invoice_id = invoice.invoice_id;
     req.package = p;
     return make_frame(MsgType::kSubmitFastPay, request_id, req.serialize());
+  }
+
+  ReceiptInfoResponse read_receipt(Gateway& gw, std::uint64_t request_id) const {
+    const auto frame = Frame::deserialize(gw.serve(
+        make_frame(MsgType::kGetReceipt, 9999, GetReceiptRequest{request_id}.serialize()), now));
+    EXPECT_TRUE(frame.has_value());
+    if (!frame) return {};
+    const auto resp = ReceiptInfoResponse::deserialize(frame->payload);
+    EXPECT_TRUE(resp.has_value());
+    return resp.value_or(ReceiptInfoResponse{});
   }
 
   static FastPayResultResponse decode_result(const Bytes& bytes) {
@@ -850,24 +899,47 @@ TEST_F(GatewayUnit, ConcurrentShardedServeNeverOvercommits) {
   cfg.shards = 4;
   auto gw = make_gateway(cfg);
 
-  auto tampered = pkg;
-  tampered.binding.customer_sig[3] ^= 0x01;
+  // Distinct payments on the one escrow (each its own invoice amount, so
+  // its own txid) whose compensation sums past the collateral: the cap,
+  // not the replay guard, bounds the winners.
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kPerThread = 4;
+  auto payment = [&](std::uint64_t extra_sat) {
+    const auto inv = dep->merchant().make_invoice(5 * btc::kCoin + extra_sat,
+                                                  dep->config().compensation, now,
+                                                  10ULL * 60 * 1000);
+    gw->register_invoice(inv);
+    SubmitFastPayRequest req;
+    req.invoice_id = inv.invoice_id;
+    req.package = dep->customer().create_fastpay(inv, coins[0].first, coins[0].second.out.value,
+                                                 now, dep->config().binding_ttl_ms);
+    return req;
+  };
+  std::vector<Bytes> valid;
+  std::set<btc::Txid> txids;
+  for (unsigned k = 0; k < kThreads * kPerThread; ++k) {
+    const auto req = payment(1 + k);
+    txids.insert(req.package.binding.binding.btc_txid);
+    valid.push_back(make_frame(MsgType::kSubmitFastPay, 100 + k, req.serialize()));
+  }
+  ASSERT_EQ(txids.size(), valid.size());
+
+  // The tampered package has a txid no valid frame holds, so every copy
+  // reaches the verify stage.
+  auto tampered = payment(1000);
+  tampered.package.binding.customer_sig[3] ^= 0x01;
   SubmitFastPayRequest unknown;
   unknown.invoice_id = invoice.invoice_id + 999;
   unknown.package = pkg;
-  const Bytes bad_sig = submit_frame(2, tampered);
+  const Bytes bad_sig = make_frame(MsgType::kSubmitFastPay, 2, tampered.serialize());
   const Bytes bad_invoice = make_frame(MsgType::kSubmitFastPay, 3, unknown.serialize());
 
   std::atomic<std::uint64_t> accepts{0};
   std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 8; ++t) {
+  for (unsigned t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      for (int i = 0; i < 25; ++i) {
-        // Every thread races the SAME valid package (distinct request
-        // ids): each accept re-reserves the compensation, so the
-        // collateral cap is what bounds the winners.
-        const auto resp =
-            decode_result(gw->serve(submit_frame(100 + t * 1000 + i, pkg), now));
+      for (unsigned i = 0; i < kPerThread; ++i) {
+        const auto resp = decode_result(gw->serve(valid[t * kPerThread + i], now));
         if (resp.accepted) accepts.fetch_add(1, std::memory_order_relaxed);
         (void)gw->serve(bad_sig, now);
         (void)gw->serve(bad_invoice, now);
@@ -878,18 +950,152 @@ TEST_F(GatewayUnit, ConcurrentShardedServeNeverOvercommits) {
 
   const auto snap = gw->escrow_snapshot(dep->customer().escrow_id());
   ASSERT_TRUE(snap.has_value());
+  const psc::Value comp = dep->config().compensation;
+  const std::uint64_t fit = (snap->view.collateral - snap->view.reserved) / comp;
+  ASSERT_LT(fit, valid.size());
+  EXPECT_EQ(accepts.load(), fit);
   EXPECT_LE(snap->view.reserved + snap->local_reserved, snap->view.collateral);
-  EXPECT_EQ(snap->local_reserved, accepts.load() * pkg.binding.binding.compensation);
+  EXPECT_EQ(snap->local_reserved, accepts.load() * comp);
   EXPECT_EQ(gw->stats().accepts(), accepts.load());
   EXPECT_EQ(gw->reservations_granted(), accepts.load());
   EXPECT_EQ(gw->commit_queue_depth(), accepts.load());
-  // Every submit that passed the terms check crossed the verify stage
-  // exactly once: it was then accepted, refused there for the tampered
-  // signature, or lost the reservation race.
+  // Every frame got exactly one outcome; every submit with a known
+  // invoice was evaluated once (none is a replay), and every one that
+  // passed the terms check (which already refuses a full escrow) crossed
+  // the verify stage exactly once: it was then accepted, refused there
+  // for the tampered signature, or lost the reservation race.
   const auto st = gw->stats();
+  const std::uint64_t frames = 3ull * kThreads * kPerThread;
+  EXPECT_EQ(st.accepts() + st.rejects(), frames);
+  EXPECT_EQ(st.rejects_for(RejectReason::kUnknownInvoice), frames / 3);
+  EXPECT_EQ(st.rejects_for(RejectReason::kDuplicatePayment), 0u);
+  EXPECT_EQ(st.stage(Stage::kEvaluate).count(), 2 * frames / 3);
   EXPECT_EQ(st.stage(Stage::kVerify).count(),
             accepts.load() + st.rejects_for(RejectReason::kBindingSigInvalid) +
                 gw->reservations_denied());
+}
+
+TEST_F(GatewayUnit, ReplayedSubmitHoldsNoSecondReservationBeforeOrAfterFlush) {
+  // A replay of an accepted package (same bytes, new request id) must not
+  // hold collateral again or book the invoice twice — neither while the
+  // accept waits in the commit queue nor after flush_accepted booked it.
+  auto gw = make_gateway();
+  const auto first = decode_result(gw->serve(submit_frame(1, pkg), now));
+  ASSERT_TRUE(first.accepted) << first.reason;
+
+  const auto before_flush = decode_result(gw->serve(submit_frame(2, pkg), now));
+  EXPECT_FALSE(before_flush.accepted);
+  EXPECT_EQ(before_flush.code, RejectReason::kDuplicatePayment);
+  EXPECT_EQ(before_flush.reservation_id, 0u);
+  EXPECT_EQ(gw->commit_queue_depth(), 1u);
+  EXPECT_EQ(gw->reservations_granted(), 1u);
+
+  (void)gw->flush_accepted(now);
+  ASSERT_EQ(dep->merchant().pending().size(), 1u);
+  const auto after_flush = decode_result(gw->serve(submit_frame(3, pkg), now));
+  EXPECT_FALSE(after_flush.accepted);
+  EXPECT_EQ(after_flush.code, RejectReason::kDuplicatePayment);
+  EXPECT_EQ(gw->commit_queue_depth(), 0u);
+  (void)gw->flush_accepted(now);
+  EXPECT_EQ(dep->merchant().pending().size(), 1u);
+
+  const auto snap = gw->escrow_snapshot(dep->customer().escrow_id());
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->live_reservations, 1u);
+  EXPECT_EQ(snap->local_reserved, pkg.binding.binding.compensation);
+  EXPECT_EQ(gw->stats().rejects_for(RejectReason::kDuplicatePayment), 2u);
+
+  // The client still reads the original decision.
+  const auto receipt = read_receipt(*gw, 1);
+  EXPECT_TRUE(receipt.found);
+  EXPECT_TRUE(receipt.accepted);
+  EXPECT_EQ(receipt.code, RejectReason::kNone);
+}
+
+TEST_F(GatewayUnit, ReplayedFrameBytesKeepTheOriginalReceipt) {
+  // A client whose accept response was lost resubmits the identical
+  // bytes, so the replay carries the original request id. Its refusal
+  // must not overwrite the stored accept: GetReceipt keeps reading it,
+  // through serve() and inside serve_batch alike.
+  auto gw = make_gateway();
+  const Bytes frame = submit_frame(1, pkg);
+  ASSERT_TRUE(decode_result(gw->serve(frame, now)).accepted);
+  EXPECT_EQ(decode_result(gw->serve(frame, now)).code, RejectReason::kDuplicatePayment);
+  auto receipt = read_receipt(*gw, 1);
+  EXPECT_TRUE(receipt.found);
+  EXPECT_TRUE(receipt.accepted);
+  EXPECT_EQ(receipt.code, RejectReason::kNone);
+
+  // Second payment: accept and replay in one batch, with a receipt read
+  // between and after them.
+  const auto inv = dep->merchant().make_invoice(5 * btc::kCoin, dep->config().compensation, now,
+                                                10ULL * 60 * 1000);
+  gw->register_invoice(inv);
+  SubmitFastPayRequest req;
+  req.invoice_id = inv.invoice_id;
+  req.package = dep->customer().create_fastpay(inv, coins[1].first, coins[1].second.out.value,
+                                               now, dep->config().binding_ttl_ms);
+  const Bytes second = make_frame(MsgType::kSubmitFastPay, 7, req.serialize());
+  const Bytes read = make_frame(MsgType::kGetReceipt, 8, GetReceiptRequest{7}.serialize());
+  const auto out = gw->serve_batch({second, read, second, read}, now);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_TRUE(decode_result(out[0]).accepted);
+  EXPECT_EQ(decode_result(out[2]).code, RejectReason::kDuplicatePayment);
+  EXPECT_EQ(out[1], out[3]);
+  for (const std::size_t i : {1u, 3u}) {
+    const auto f = Frame::deserialize(out[i]);
+    ASSERT_TRUE(f.has_value());
+    const auto r = ReceiptInfoResponse::deserialize(f->payload);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_TRUE(r->found && r->accepted) << "slot " << i;
+  }
+  receipt = read_receipt(*gw, 7);
+  EXPECT_TRUE(receipt.found);
+  EXPECT_TRUE(receipt.accepted);
+  EXPECT_EQ(gw->reservations_granted(), 2u);
+  EXPECT_EQ(gw->commit_queue_depth(), 2u);
+}
+
+TEST_F(GatewayUnit, SameFrameServedConcurrentlyIsAcceptedOnce) {
+  // The duplicate check and the reservation are one step under the
+  // owning shard's lock: threads released together on the identical
+  // frame bytes get exactly one accept per payment (run under TSan by
+  // tier1.sh --gateway-smoke).
+  auto gw = make_gateway();
+  ASSERT_GE(coins.size(), 3u);
+  for (std::size_t c = 0; c < 3; ++c) {
+    const auto inv = dep->merchant().make_invoice(5 * btc::kCoin, dep->config().compensation, now,
+                                                  10ULL * 60 * 1000);
+    gw->register_invoice(inv);
+    SubmitFastPayRequest req;
+    req.invoice_id = inv.invoice_id;
+    req.package = dep->customer().create_fastpay(inv, coins[c].first, coins[c].second.out.value,
+                                                 now, dep->config().binding_ttl_ms);
+    const Bytes frame = make_frame(MsgType::kSubmitFastPay, 10 + c, req.serialize());
+
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::atomic<int> accepted{0};
+    std::atomic<int> duplicates{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        const auto resp = decode_result(gw->serve(frame, now));
+        if (resp.accepted) accepted.fetch_add(1);
+        if (resp.code == RejectReason::kDuplicatePayment) duplicates.fetch_add(1);
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(accepted.load(), 1) << "payment " << c;
+    EXPECT_EQ(duplicates.load(), kThreads - 1) << "payment " << c;
+    // Whichever thread won, its receipt is the one that stays.
+    const auto receipt = read_receipt(*gw, 10 + c);
+    EXPECT_TRUE(receipt.found && receipt.accepted) << "payment " << c;
+  }
+  EXPECT_EQ(gw->reservations_granted(), 3u);
+  EXPECT_EQ(gw->commit_queue_depth(), 3u);
 }
 
 TEST_F(GatewayUnit, PendingLimitClaimedAtomicallyAcrossQueues) {

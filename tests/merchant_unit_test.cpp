@@ -5,6 +5,7 @@
 
 #include <limits>
 
+#include "btc/transaction.h"
 #include "btcfast/orchestrator.h"
 #include "common/thread_pool.h"
 #include "crypto/batch_verify.h"
@@ -160,6 +161,89 @@ TEST_F(MerchantUnit, SigChecksMatchWhatVerifyPaymentChecks) {
   dep->merchant().collect_sig_checks(pkg, std::nullopt, jobs);
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].sig, pkg.payment_tx.inputs[0].script_sig.signature);
+}
+
+TEST_F(MerchantUnit, PassVerdictsGiveTheSameDecisionAsSingleVerify) {
+  // verify_payment fed a batch pass's verdicts must give every
+  // rejection the same code and reason as the single path that checks
+  // each signature itself — including when the escrow key changed after
+  // the pass built its binding job.
+  auto escrow = dep->merchant().escrow_view(dep->customer().escrow_id());
+  ASSERT_TRUE(escrow.has_value());
+  const auto& key = dep->customer().btc_identity().key;
+  auto rebind = [&](FastPayPackage& p) {
+    p.binding.binding.btc_txid = p.payment_tx.txid();
+    p.binding.customer_sig =
+        crypto::ecdsa_sign(key, p.binding.binding.signing_digest()).serialize();
+  };
+  const auto coins =
+      sim::find_spendable(dep->customer_node().chain(), dep->customer().btc_identity().script);
+  ASSERT_GE(coins.size(), 2u);
+
+  struct Case {
+    const char* name;
+    FastPayPackage pkg;
+    EscrowView escrow;
+    RejectReason want;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"valid", pkg, *escrow, RejectReason::kNone});
+  auto bad_binding = pkg;
+  bad_binding.binding.customer_sig[7] ^= 0x40;
+  cases.push_back({"bad binding sig", bad_binding, *escrow, RejectReason::kBindingSigInvalid});
+  auto bad_key = *escrow;
+  bad_key.customer_btc_key[0] = 0x05;
+  cases.push_back({"bad customer key", pkg, bad_key, RejectReason::kBadCustomerKey});
+  auto missing = pkg;
+  missing.payment_tx.inputs[0].prevout.txid.bytes[5] ^= 1;
+  rebind(missing);
+  cases.push_back({"missing input", missing, *escrow, RejectReason::kInputMissing});
+  auto bad_input = pkg;
+  bad_input.payment_tx.inputs[0].script_sig.signature[3] ^= 1;
+  rebind(bad_input);
+  cases.push_back({"bad input sig", bad_input, *escrow, RejectReason::kInputSigInvalid});
+  auto inflated = pkg;
+  inflated.payment_tx.outputs[0].value += 100 * btc::kCoin;
+  btc::sign_input(inflated.payment_tx, 0, key, coins[0].second.out.script_pubkey);
+  rebind(inflated);
+  cases.push_back({"value inflation", inflated, *escrow, RejectReason::kValueInflation});
+  // Mempool conflict: another spend of the same coin is already pending.
+  auto conflicted = dep->customer().create_fastpay(invoice, coins[1].first,
+                                                   coins[1].second.out.value, now,
+                                                   dep->config().binding_ttl_ms);
+  auto other = conflicted;
+  other.payment_tx.outputs[0].value -= 1;
+  btc::sign_input(other.payment_tx, 0, key, coins[1].second.out.script_pubkey);
+  dep->merchant_node().receive_tx(other.payment_tx);
+  cases.push_back({"mempool conflict", conflicted, *escrow, RejectReason::kInputConflict});
+
+  common::ThreadPool inline_pool(0);
+  for (const auto& c : cases) {
+    crypto::SigCache::global().clear();
+    const AcceptDecision single = dep->merchant().verify_payment(c.pkg, c.escrow);
+    EXPECT_EQ(single.code, c.want) << c.name;
+    // The pass sees the escrow as it was when the batch was collected;
+    // the stale-key run hands it the untampered view.
+    for (const bool stale_key : {false, true}) {
+      const EscrowView& seen = stale_key ? *escrow : c.escrow;
+      std::vector<crypto::SigCheckJob> jobs;
+      SigJobIndex at;
+      dep->merchant().collect_sig_checks(c.pkg, seen, jobs, &at);
+      crypto::SigCache::global().clear();
+      const auto ok = crypto::batch_verify(inline_pool, jobs, nullptr);
+      const auto probes = crypto::SigCache::global().stats();
+      const PassVerdicts pass{jobs, ok, at};
+      const AcceptDecision batched =
+          dep->merchant().verify_payment(c.pkg, c.escrow, &pass);
+      EXPECT_EQ(batched.code, single.code) << c.name << (stale_key ? " (stale key)" : "");
+      EXPECT_EQ(batched.reason, single.reason) << c.name;
+      if (!stale_key || seen.customer_btc_key == c.escrow.customer_btc_key) {
+        // Every signature came from the pass: no cache probe at all.
+        const auto after = crypto::SigCache::global().stats();
+        EXPECT_EQ(after.hits + after.misses, probes.hits + probes.misses) << c.name;
+      }
+    }
+  }
 }
 
 TEST_F(MerchantUnit, InlineVerifyUsesPrecompCache) {

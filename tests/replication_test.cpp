@@ -5,16 +5,26 @@
 // crash-point-exhaustive failover (kill the primary at every ship
 // boundary and prove the promoted store is byte-exact for every acked
 // record), catch-up after follower restart, and snapshot install past
-// compaction.
+// compaction. The gateway's batch commit is tested here too: one WAL
+// commit and one quorum commit per serve_batch, byte-identical to a
+// serve() loop, and undone whole when the commit or the quorum fails.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "btc/transaction.h"
+#include "btcfast/orchestrator.h"
+#include "btcsim/scenario.h"
+#include "common/thread_pool.h"
+#include "gateway/pipeline.h"
+#include "gateway/wire.h"
 #include "replication/failover.h"
 #include "replication/follower.h"
 #include "replication/log_ship.h"
@@ -441,6 +451,373 @@ TEST(Failover, SnapshotInstallWhenLogIsPruned) {
   shipper.pump(100'000);
   EXPECT_EQ(rig.followers[0]->store()->image_copy().serialize(),
             rig.primary->image_copy().serialize());
+}
+
+// --------------------------------------------- gateway batch commit
+
+Bytes read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+/// One seeded world for the batch-commit tests: a deployment whose escrow
+/// covers every valid payment, one invoice per frame slot, and a frame
+/// list mixing accepts with every verify_payment rejection, a replay, a
+/// bad invoice, a garbage frame and reads. Two worlds built from the same
+/// seed hold identical state, so the frames of one are valid for both.
+struct BatchWorld {
+  BatchWorld() {
+    core::DeploymentConfig cfg;
+    cfg.seed = 5150;
+    cfg.funded_coins = 9;
+    cfg.collateral = 20'000'000;
+    dep = std::make_unique<core::Deployment>(cfg);
+    now = static_cast<std::uint64_t>(dep->simulator().now());
+    for (int i = 0; i < 9; ++i) {
+      invoices.push_back(dep->merchant().make_invoice(5 * btc::kCoin, cfg.compensation, now,
+                                                      10ULL * 60 * 1000));
+    }
+    coins = sim::find_spendable(dep->customer_node().chain(),
+                                dep->customer().btc_identity().script);
+  }
+
+  core::FastPayPackage pay(std::size_t i) {
+    return dep->customer().create_fastpay(invoices[i], coins[i].first, coins[i].second.out.value,
+                                          now, dep->config().binding_ttl_ms);
+  }
+
+  /// Re-point the binding at the (modified) payment tx and re-sign it.
+  void rebind(core::FastPayPackage& p) const {
+    p.binding.binding.btc_txid = p.payment_tx.txid();
+    p.binding.customer_sig =
+        crypto::ecdsa_sign(dep->customer().btc_identity().key, p.binding.binding.signing_digest())
+            .serialize();
+  }
+
+  gateway::Gateway& gateway(common::ThreadPool& pool) {
+    gw = std::make_unique<gateway::Gateway>(dep->merchant(), pool, gateway::GatewayConfig{});
+    for (const auto& inv : invoices) gw->register_invoice(inv);
+    gw->track_escrow(dep->customer().escrow_id());
+    return *gw;
+  }
+
+  std::unique_ptr<core::Deployment> dep;
+  std::unique_ptr<gateway::Gateway> gw;
+  std::uint64_t now = 0;
+  std::vector<core::Invoice> invoices;
+  std::vector<std::pair<btc::OutPoint, btc::Coin>> coins;
+};
+
+Bytes submit(std::uint64_t rid, const core::Invoice& inv, const core::FastPayPackage& p) {
+  gateway::SubmitFastPayRequest req;
+  req.invoice_id = inv.invoice_id;
+  req.package = p;
+  return gateway::make_frame(gateway::MsgType::kSubmitFastPay, rid, req.serialize());
+}
+
+struct BatchFrames {
+  std::vector<Bytes> frames;
+  btc::Transaction conflict;  ///< goes into the merchant mempool first
+};
+
+/// The frame mix (built against `w`; the same bytes serve every world).
+BatchFrames batch_frames(BatchWorld& w) {
+  BatchFrames out;
+  auto& f = out.frames;
+  const auto p0 = w.pay(0);
+  f.push_back(submit(1, w.invoices[0], p0));
+  f.push_back(submit(2, w.invoices[1], w.pay(1)));
+  f.push_back(gateway::make_frame(gateway::MsgType::kGetReceipt, 3,
+                                  gateway::GetReceiptRequest{1}.serialize()));
+  f.push_back(submit(4, w.invoices[0], p0));  // replay: kDuplicatePayment
+  auto bad_binding = w.pay(2);
+  bad_binding.binding.customer_sig[5] ^= 0x10;
+  f.push_back(submit(5, w.invoices[2], bad_binding));  // kBindingSigInvalid
+  gateway::QueryEscrowRequest q;
+  q.escrow_id = w.dep->customer().escrow_id();
+  f.push_back(gateway::make_frame(gateway::MsgType::kQueryEscrow, 6, q.serialize()));
+  auto bad_input = w.pay(3);
+  bad_input.payment_tx.inputs[0].script_sig.signature[9] ^= 0x01;
+  w.rebind(bad_input);
+  f.push_back(submit(7, w.invoices[3], bad_input));  // kInputSigInvalid
+  auto missing = w.pay(4);
+  missing.payment_tx.inputs[0].prevout.txid.bytes[3] ^= 0x01;
+  w.rebind(missing);
+  f.push_back(submit(8, w.invoices[4], missing));  // kInputMissing
+  auto inflated = w.pay(5);
+  inflated.payment_tx.outputs[0].value += 100 * btc::kCoin;
+  btc::sign_input(inflated.payment_tx, 0, w.dep->customer().btc_identity().key,
+                  w.coins[5].second.out.script_pubkey);
+  w.rebind(inflated);
+  f.push_back(submit(9, w.invoices[5], inflated));  // kValueInflation
+  const auto conflicted = w.pay(6);
+  // A different spend of the same coin sits in the merchant's mempool.
+  auto other = w.pay(6);
+  other.payment_tx.outputs[0].value -= 1;
+  btc::sign_input(other.payment_tx, 0, w.dep->customer().btc_identity().key,
+                  w.coins[6].second.out.script_pubkey);
+  out.conflict = other.payment_tx;
+  f.push_back(submit(10, w.invoices[6], conflicted));  // kInputConflict
+  f.push_back(submit(11, w.invoices[7], w.pay(7)));
+  core::Invoice unknown = w.invoices[8];
+  unknown.invoice_id += 1000;
+  f.push_back(submit(12, unknown, w.pay(8)));  // kUnknownInvoice
+  f.push_back(Bytes{0xde, 0xad, 0xbe, 0xef});   // undecodable frame
+  f.push_back(submit(14, w.invoices[8], w.pay(8)));
+  f.push_back(gateway::make_frame(gateway::MsgType::kGetReceipt, 15,
+                                  gateway::GetReceiptRequest{11}.serialize()));
+  return out;
+}
+
+/// Commit gate over a ReplicationGroup that checks the ordering rule at
+/// every quorum ask: the records are already committed locally.
+struct CheckedGate final : store::CommitGate {
+  CheckedGate(store::CommitGate& inner, store::DurableStore& primary)
+      : inner(inner), primary(primary) {}
+  bool quorum_commit(std::uint64_t seq, std::uint64_t now_ms) override {
+    ++calls;
+    EXPECT_GE(primary.last_committed_seq(), seq);
+    return inner.quorum_commit(seq, now_ms);
+  }
+  store::CommitGate& inner;
+  store::DurableStore& primary;
+  int calls = 0;
+};
+
+struct ServedRun {
+  std::vector<Bytes> responses;
+  Bytes wal;              ///< the primary's WAL segment
+  Bytes follower_image;   ///< the follower's recovered image, serialized
+  int quorum_calls = 0;
+};
+
+/// Serve `frames` through a gateway with a store and a quorum-1 follower
+/// attached: one serve() per frame (`batches` empty) or one serve_batch
+/// per [begin, end) range, then flush.
+ServedRun serve_frames(const std::string& tag, std::size_t pool_workers,
+                       const std::vector<std::pair<std::size_t, std::size_t>>& batches) {
+  BatchWorld w;
+  const BatchFrames bf = batch_frames(w);
+  w.dep->merchant_node().receive_tx(bf.conflict);
+  common::ThreadPool pool(pool_workers);
+  gateway::Gateway& gw = w.gateway(pool);
+
+  Rig rig = Rig::make(tag, 1, store::StoreOptions{});
+  ReplicationConfig rcfg;
+  rcfg.quorum = 1;
+  ServedRun run;
+  {
+    ReplicationGroup group(rcfg);
+    group.attach_primary(rig.primary.get());
+    group.add_follower(rig.links[0].get());
+    CheckedGate gate(group, *rig.primary);
+    gw.attach_store(rig.primary.get());
+    gw.attach_commit_gate(&gate);
+    if (batches.empty()) {
+      for (const auto& f : bf.frames) run.responses.push_back(gw.serve(f, w.now));
+    } else {
+      for (const auto& [begin, end] : batches) {
+        const std::vector<Bytes> part(bf.frames.begin() + static_cast<std::ptrdiff_t>(begin),
+                                      bf.frames.begin() + static_cast<std::ptrdiff_t>(end));
+        for (auto& r : gw.serve_batch(part, w.now)) run.responses.push_back(std::move(r));
+      }
+    }
+    (void)gw.flush_accepted(w.now);
+    run.quorum_calls = gate.calls;
+    gw.attach_commit_gate(nullptr);
+    gw.attach_store(nullptr);
+  }
+  rig.links.clear();
+  rig.followers.clear();
+  rig.primary.reset();
+  run.wal = read_file(rig.primary_dir + "/wal-0000000000000001.wal");
+  auto follower = store::DurableStore::open(rig.dirs[0], no_fsync());
+  EXPECT_NE(follower, nullptr);
+  if (follower) run.follower_image = follower->image_copy().serialize();
+  return run;
+}
+
+std::uint16_t result_code(const Bytes& response) {
+  const auto frame = gateway::Frame::deserialize(response);
+  if (!frame || frame->type != gateway::MsgType::kFastPayResult) return 0xffff;
+  const auto r = gateway::FastPayResultResponse::deserialize(frame->payload);
+  return r ? static_cast<std::uint16_t>(r->code) : 0xffff;
+}
+
+TEST(GatewayBatchCommit, MatchesServeLoopBytesWalAndFollowerAtEveryPoolSize) {
+  const ServedRun loop = serve_frames("batch-loop", 0, {});
+  // The mix reaches every verify_payment rejection the wire can carry,
+  // plus the replay guard, in serve() and in serve_batch alike.
+  using core::RejectReason;
+  const std::vector<std::pair<std::size_t, RejectReason>> expect = {
+      {0, RejectReason::kNone},          {1, RejectReason::kNone},
+      {3, RejectReason::kDuplicatePayment}, {4, RejectReason::kBindingSigInvalid},
+      {6, RejectReason::kInputSigInvalid},  {7, RejectReason::kInputMissing},
+      {8, RejectReason::kValueInflation},   {9, RejectReason::kInputConflict},
+      {10, RejectReason::kNone},         {11, RejectReason::kUnknownInvoice},
+      {13, RejectReason::kNone}};
+  ASSERT_EQ(loop.responses.size(), 15u);
+  for (const auto& [i, code] : expect) {
+    EXPECT_EQ(result_code(loop.responses[i]), static_cast<std::uint16_t>(code)) << "frame " << i;
+  }
+  EXPECT_EQ(loop.quorum_calls, 5);  // one per accept, plus the flush
+  ASSERT_FALSE(loop.wal.empty());
+  ASSERT_FALSE(loop.follower_image.empty());
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                    common::ThreadPool::hardware_workers()}) {
+    const ServedRun batch = serve_frames("batch-" + std::to_string(workers), workers,
+                                         {{0, 7}, {7, 15}});
+    EXPECT_EQ(batch.responses, loop.responses) << workers << " workers";
+    EXPECT_EQ(batch.wal, loop.wal) << workers << " workers";
+    EXPECT_EQ(batch.follower_image, loop.follower_image) << workers << " workers";
+    EXPECT_EQ(batch.quorum_calls, 3) << "one per batch, plus the flush";
+  }
+}
+
+/// Grants every quorum ask except the next `refusals` ones.
+struct RefusingGate final : store::CommitGate {
+  bool quorum_commit(std::uint64_t, std::uint64_t) override {
+    if (refusals == 0) return true;
+    --refusals;
+    return false;
+  }
+  int refusals = 0;
+};
+
+TEST(GatewayBatchCommit, RefusedQuorumUndoesEveryAcceptOfTheBatch) {
+  BatchWorld w;
+  const BatchFrames bf = batch_frames(w);
+  w.dep->merchant_node().receive_tx(bf.conflict);
+  common::ThreadPool pool(common::ThreadPool::hardware_workers());
+  gateway::Gateway& gw = w.gateway(pool);
+  const std::string dir = scratch_dir("batch-refused");
+  auto st = store::DurableStore::open(dir, no_fsync());
+  ASSERT_NE(st, nullptr);
+  RefusingGate gate;
+  gate.refusals = 1;
+  gw.attach_store(st.get());
+  gw.attach_commit_gate(&gate);
+
+  const auto out = gw.serve_batch(bf.frames, w.now);
+  ASSERT_EQ(out.size(), bf.frames.size());
+  for (const std::size_t i : {0, 1, 10, 13}) {
+    EXPECT_EQ(result_code(out[i]), static_cast<std::uint16_t>(core::RejectReason::kOverloaded))
+        << "frame " << i;
+  }
+  // The reads were answered after the undo: the receipt of the undone
+  // accept says so, and the escrow shows no hold.
+  const auto receipt_frame = gateway::Frame::deserialize(out[2]);
+  ASSERT_TRUE(receipt_frame.has_value());
+  const auto receipt = gateway::ReceiptInfoResponse::deserialize(receipt_frame->payload);
+  ASSERT_TRUE(receipt.has_value());
+  EXPECT_TRUE(receipt->found);
+  EXPECT_FALSE(receipt->accepted);
+  EXPECT_EQ(receipt->code, core::RejectReason::kOverloaded);
+  const auto info_frame = gateway::Frame::deserialize(out[5]);
+  ASSERT_TRUE(info_frame.has_value());
+  const auto info = gateway::EscrowInfoResponse::deserialize(info_frame->payload);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->reserved, 0u);
+
+  const auto snap = gw.escrow_snapshot(w.dep->customer().escrow_id());
+  ASSERT_TRUE(snap.has_value());
+  EXPECT_EQ(snap->live_reservations, 0u);
+  EXPECT_EQ(snap->local_reserved, 0u);
+  EXPECT_EQ(gw.commit_queue_depth(), 0u);
+  EXPECT_EQ(gw.stats().accepts(), 0u);
+  EXPECT_TRUE(gw.flush_accepted(w.now).empty());
+  EXPECT_TRUE(w.dep->merchant().pending().empty());
+
+  // Recovery replays each reserve and its rejected-release: nothing live.
+  gw.attach_commit_gate(nullptr);
+  gw.attach_store(nullptr);
+  st.reset();
+  store::RecoveryInfo rinfo;
+  auto recovered = store::DurableStore::open(dir, no_fsync(), &rinfo);
+  ASSERT_NE(recovered, nullptr) << rinfo.error;
+  const auto image = recovered->image_copy();
+  EXPECT_TRUE(image.reservations.empty());
+  EXPECT_EQ(image.released_count, 4u);
+
+  // The undo also cleared the replay guard: the same frames are accepted
+  // once the quorum is back.
+  gw.attach_store(recovered.get());
+  gw.attach_commit_gate(&gate);
+  const auto again = gw.serve_batch(bf.frames, w.now);
+  for (const std::size_t i : {0, 1, 10, 13}) {
+    EXPECT_EQ(result_code(again[i]), static_cast<std::uint16_t>(core::RejectReason::kNone))
+        << "frame " << i;
+  }
+  gw.attach_commit_gate(nullptr);
+  gw.attach_store(nullptr);
+  recovered.reset();
+  fs::remove_all(dir);
+}
+
+TEST(GatewayBatchCommit, CrashInsideTheBatchCommitKeepsEveryReturnedAccept) {
+  // The durable store cannot take an injected file, so the crash is
+  // modelled the way a torn write leaves the disk: the batch commit's
+  // bytes are cut at every offset. A cut short of the end means the
+  // commit write never completed, so no accept of the batch was returned;
+  // the full write means all of them were. Either way recovery must
+  // succeed and hold the reservation of every accept a client saw.
+  BatchWorld w;
+  const BatchFrames bf = batch_frames(w);
+  w.dep->merchant_node().receive_tx(bf.conflict);
+  common::ThreadPool pool(0);
+  gateway::Gateway& gw = w.gateway(pool);
+  const std::string dir = scratch_dir("batch-torn");
+  auto st = store::DurableStore::open(dir, no_fsync());
+  ASSERT_NE(st, nullptr);
+  gw.attach_store(st.get());
+
+  // One accept before the batch: its commit is the surviving prefix.
+  const auto first = gateway::Frame::deserialize(gw.serve(bf.frames[0], w.now));
+  ASSERT_TRUE(first.has_value());
+  const auto first_result = gateway::FastPayResultResponse::deserialize(first->payload);
+  ASSERT_TRUE(first_result.has_value() && first_result->accepted);
+  ASSERT_TRUE(st->sync());  // push the prefix to the file to measure it
+  const std::string segment = dir + "/wal-0000000000000001.wal";
+  const std::uint64_t before = fs::file_size(segment);
+  ASSERT_GT(before, 0u);
+  const std::vector<Bytes> rest(bf.frames.begin() + 1, bf.frames.end());
+  const auto out = gw.serve_batch(rest, w.now);
+  std::vector<store::ReservationId> batch_rids;
+  for (const auto& r : out) {
+    const auto frame = gateway::Frame::deserialize(r);
+    if (!frame || frame->type != gateway::MsgType::kFastPayResult) continue;
+    const auto res = gateway::FastPayResultResponse::deserialize(frame->payload);
+    if (res && res->accepted) batch_rids.push_back(res->reservation_id);
+  }
+  ASSERT_EQ(batch_rids.size(), 3u);
+  gw.attach_store(nullptr);
+  st.reset();
+  const Bytes full = read_file(segment);
+  ASSERT_GT(full.size(), before);
+
+  const std::string cut_dir = scratch_dir("batch-torn-cut");
+  for (std::uint64_t cut = before; cut <= full.size(); ++cut) {
+    fs::remove_all(cut_dir);
+    fs::create_directories(cut_dir);
+    {
+      std::ofstream o(cut_dir + "/wal-0000000000000001.wal", std::ios::binary);
+      o.write(reinterpret_cast<const char*>(full.data()), static_cast<std::streamsize>(cut));
+    }
+    store::RecoveryInfo rinfo;
+    auto rec = store::DurableStore::open(cut_dir, no_fsync(), &rinfo);
+    ASSERT_NE(rec, nullptr) << "cut " << cut << ": " << rinfo.error;
+    const auto image = rec->image_copy();
+    std::vector<store::ReservationId> returned = {first_result->reservation_id};
+    if (cut == full.size()) returned.insert(returned.end(), batch_rids.begin(), batch_rids.end());
+    for (const auto rid : returned) {
+      const bool held = std::any_of(image.reservations.begin(), image.reservations.end(),
+                                    [&](const auto& r) { return r.id == rid; });
+      EXPECT_TRUE(held) << "cut " << cut << ": reservation " << rid << " lost";
+    }
+  }
+  fs::remove_all(cut_dir);
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -1107,6 +1107,48 @@ struct RefusingGate final : CommitGate {
   int refusals = 0;
 };
 
+TEST_F(StoreGatewayUnit, DuplicateIndexFollowsTheHoldThroughReleaseAndRecovery) {
+  // The replay guard lives exactly as long as the hold: a quorum refusal
+  // releases the hold and clears the txid, so the same package is
+  // accepted on retry; after a crash, restore_from rebuilds the index
+  // from the recovered reservations, so a replay is still refused.
+  const std::string dir = scratch_dir("gw-duplicate-index");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  RefusingGate gate;
+  gate.refusals = 1;
+
+  auto gw = make_gateway(dep->merchant());
+  gw->attach_store(st.get());
+  gw->attach_commit_gate(&gate);
+  gw->register_invoice(invoice);
+  const auto refused = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
+  EXPECT_FALSE(refused.accepted);
+  EXPECT_EQ(refused.code, core::RejectReason::kOverloaded);
+  const auto retried = decode_result(gw->serve(submit_frame(2, invoice, pkg), now));
+  ASSERT_TRUE(retried.accepted) << retried.reason;
+  const auto replay = decode_result(gw->serve(submit_frame(3, invoice, pkg), now));
+  EXPECT_EQ(replay.code, core::RejectReason::kDuplicatePayment);
+
+  gw.reset();
+  st.reset();
+  auto st2 = DurableStore::open(dir, opts);
+  ASSERT_NE(st2, nullptr);
+  ASSERT_EQ(st2->image_copy().reservations.size(), 1u);
+  auto gw2 = make_gateway(dep->merchant());
+  gw2->attach_store(st2.get());
+  gw2->register_invoice(invoice);
+  ASSERT_TRUE(gw2->restore_from(st2->image_copy()));
+  const auto after = decode_result(gw2->serve(submit_frame(4, invoice, pkg), now));
+  EXPECT_FALSE(after.accepted);
+  EXPECT_EQ(after.code, core::RejectReason::kDuplicatePayment);
+  gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
 TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
   core::DeploymentConfig cfg;
   cfg.seed = 4343;
