@@ -25,8 +25,9 @@ Result<Amount> check_tx_inputs(const Transaction& tx, const UtxoSet& view,
   return value_in - value_out;
 }
 
-Status Mempool::accept(const Transaction& tx, const UtxoSet& utxo, std::uint32_t chain_height,
+Status Mempool::accept(TxRef ref, const UtxoSet& utxo, std::uint32_t chain_height,
                        std::uint32_t coinbase_maturity) {
+  const Transaction& tx = *ref;
   if (tx.is_coinbase()) return make_error("coinbase", "coinbase may not enter the mempool");
   if (tx.inputs.empty() || tx.outputs.empty()) return make_error("bad-txns-empty");
   const Txid id = tx.txid();
@@ -47,15 +48,15 @@ Status Mempool::accept(const Transaction& tx, const UtxoSet& utxo, std::uint32_t
     if (!money_range(out.value)) return make_error("bad-txout-value");
   }
 
-  txs_[id] = tx;
   for (const auto& in : tx.inputs) spends_[in.prevout] = id;
+  txs_.emplace(id, std::move(ref));
   return Status::success();
 }
 
 std::optional<Transaction> Mempool::get(const Txid& txid) const {
   auto it = txs_.find(txid);
   if (it == txs_.end()) return std::nullopt;
-  return it->second;
+  return *it->second;
 }
 
 std::optional<Txid> Mempool::spender_of(const OutPoint& op) const {
@@ -68,7 +69,7 @@ void Mempool::remove_for_block(const Block& block) {
   auto erase_tx = [this](const Txid& id) {
     auto it = txs_.find(id);
     if (it == txs_.end()) return;
-    for (const auto& in : it->second.inputs) spends_.erase(in.prevout);
+    for (const auto& in : it->second->inputs) spends_.erase(in.prevout);
     txs_.erase(it);
   };
 
@@ -84,7 +85,7 @@ void Mempool::remove_for_block(const Block& block) {
 std::vector<Transaction> Mempool::drain() {
   std::vector<Transaction> out;
   out.reserve(txs_.size());
-  for (auto& [id, tx] : txs_) out.push_back(std::move(tx));
+  for (const auto& [id, tx] : txs_) out.push_back(*tx);
   txs_.clear();
   spends_.clear();
   return out;
@@ -93,7 +94,7 @@ std::vector<Transaction> Mempool::drain() {
 std::vector<Transaction> Mempool::snapshot() const {
   std::vector<Transaction> out;
   out.reserve(txs_.size());
-  for (const auto& [id, tx] : txs_) out.push_back(tx);
+  for (const auto& [id, tx] : txs_) out.push_back(*tx);
   return out;
 }
 

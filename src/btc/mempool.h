@@ -22,7 +22,8 @@ class Mempool {
   /// Rules: inputs exist and are unspent (both on-chain and in-pool),
   /// scripts verify, no value inflation, coinbase maturity respected.
   /// First-seen wins: a conflicting spend is rejected ("txn-mempool-conflict").
-  Status accept(const Transaction& tx, const UtxoSet& utxo, std::uint32_t chain_height,
+  /// The pool keeps `tx` itself, not a copy.
+  Status accept(TxRef tx, const UtxoSet& utxo, std::uint32_t chain_height,
                 std::uint32_t coinbase_maturity);
 
   [[nodiscard]] bool contains(const Txid& txid) const { return txs_.contains(txid); }
@@ -42,7 +43,7 @@ class Mempool {
   [[nodiscard]] std::vector<Transaction> snapshot() const;
 
  private:
-  std::unordered_map<Txid, Transaction, Hash256Hasher> txs_;
+  std::unordered_map<Txid, TxRef, Hash256Hasher> txs_;
   std::unordered_map<OutPoint, Txid, OutPointHasher> spends_;
 };
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "btc/script.h"
@@ -83,6 +84,12 @@ struct Transaction {
   };
   mutable TxidMemo txid_memo_{};
 };
+
+/// One accepted or relayed transaction, shared and immutable: the mempool
+/// that holds it and every queued peer delivery point at the same object
+/// (Bitcoin Core's CTransactionRef), so relaying copies a pointer, not
+/// the inputs and scripts.
+using TxRef = std::shared_ptr<const Transaction>;
 
 /// Signs input `input_index` of `tx` with `key`; fills in its scriptSig.
 void sign_input(Transaction& tx, std::size_t input_index, const crypto::PrivateKey& key,

@@ -254,8 +254,11 @@ std::vector<psc::PscTx> MerchantService::accept_payment(FastPayPackage&& pkg, In
   }
 
   pending_.push_back(std::move(p));
-  // Broadcast through our own node so the network confirms it.
-  btc_node_.receive_tx(pending_.back().package.payment_tx);
+  // Broadcast through our own node so the network confirms it. The book
+  // keeps its own copy (dispute evidence); the node's mempool and every
+  // queued peer delivery share this one.
+  const btc::Transaction& payment = pending_.back().package.payment_tx;
+  btc_node_.receive_tx(std::make_shared<const btc::Transaction>(payment));
   return actions;
 }
 

@@ -50,7 +50,7 @@ void Network::set_isolated(NodeId id, bool isolated) {
   }
 }
 
-void Network::broadcast_tx(NodeId from, const btc::Transaction& tx) {
+void Network::broadcast_tx(NodeId from, btc::TxRef tx) {
   if (isolated_.contains(from)) return;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const NodeId to = static_cast<NodeId>(i);

@@ -60,7 +60,8 @@ class Network {
   [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
 
   /// Relay a transaction from `from` to every other node after latency.
-  void broadcast_tx(NodeId from, const btc::Transaction& tx);
+  /// Every queued delivery holds `tx` itself, not a copy.
+  void broadcast_tx(NodeId from, btc::TxRef tx);
   /// Relay a block likewise.
   void broadcast_block(NodeId from, const btc::Block& block);
 

@@ -10,8 +10,8 @@ Node::Node(NodeId id, btc::ChainParams params, Network* network)
   seen_blocks_.insert(chain_.tip_hash());
 }
 
-void Node::receive_tx(const btc::Transaction& tx) {
-  const btc::Txid id = tx.txid();
+void Node::receive_tx(btc::TxRef tx) {
+  const btc::Txid id = tx->txid();
   if (!seen_txs_.insert(id).second) return;
 
   const Status s =
@@ -22,7 +22,7 @@ void Node::receive_tx(const btc::Transaction& tx) {
                                           << s.error().to_string();
     return;
   }
-  if (network_ != nullptr) network_->broadcast_tx(id_, tx);
+  if (network_ != nullptr) network_->broadcast_tx(id_, std::move(tx));
 }
 
 void Node::receive_block(const btc::Block& block) {
@@ -49,8 +49,9 @@ void Node::receive_block(const btc::Block& block) {
       auto disconnected = chain_.take_disconnected_txs();
       if (!disconnected.empty()) {
         ++reorg_count_;
-        for (const auto& tx : disconnected) {
-          (void)mempool_.accept(tx, chain_.utxo(), chain_.height(),
+        for (auto& tx : disconnected) {
+          (void)mempool_.accept(std::make_shared<const btc::Transaction>(std::move(tx)),
+                                chain_.utxo(), chain_.height(),
                                 chain_.params().coinbase_maturity);
         }
       }

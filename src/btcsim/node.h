@@ -23,7 +23,11 @@ class Node {
   Node(NodeId id, btc::ChainParams params, Network* network);
 
   /// Deliver a transaction (validates into the mempool; relays if new).
-  void receive_tx(const btc::Transaction& tx);
+  /// The mempool and every relay delivery share `tx` itself.
+  void receive_tx(btc::TxRef tx);
+  void receive_tx(const btc::Transaction& tx) {
+    receive_tx(std::make_shared<const btc::Transaction>(tx));
+  }
   /// Deliver a block (submits to the chain; relays; unblocks orphans;
   /// re-validates transactions disconnected by reorgs).
   void receive_block(const btc::Block& block);

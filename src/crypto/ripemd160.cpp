@@ -92,7 +92,7 @@ Ripemd160Digest ripemd160(ByteSpan data) noexcept {
   // Final block(s) with padding: 0x80, zeros, 64-bit little-endian bit length.
   std::uint8_t tail[128];
   const std::size_t rem = data.size() - off;
-  std::memcpy(tail, data.data() + off, rem);
+  if (rem > 0) std::memcpy(tail, data.data() + off, rem);  // data() may be null when empty
   tail[rem] = 0x80;
   const std::size_t tail_len = rem < 56 ? 64 : 128;
   std::memset(tail + rem + 1, 0, tail_len - rem - 1 - 8);

@@ -125,9 +125,9 @@ std::shared_ptr<const secp::PubkeyPrecomp> PubkeyPrecompCache::lookup(const Key&
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.entries.find(key);
-  if (it != s.entries.end() && it->second != nullptr) {
+  if (it != s.entries.end() && it->second.tables != nullptr) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return it->second.tables;
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
@@ -142,21 +142,26 @@ void PubkeyPrecompCache::note_verified(const Key& key, const secp::AffinePoint& 
     if (it == s.entries.end()) {
       // First sighting: marker only — a one-shot payer never pays a build.
       if (s.entries.size() >= per_shard_cap()) evict_one(s, key);
-      s.entries.emplace(key, nullptr);
+      s.entries.emplace(key, Entry{nullptr, ++s.arrivals});
       return;
     }
-    if (it->second != nullptr) return;  // tables already published
+    if (it->second.tables != nullptr) return;  // tables already published
+    // A key that did not recur within the gap would be evicted before its
+    // tables repaid the build: re-stamp the marker and wait.
+    const std::uint64_t gap = s.arrivals - it->second.seen_at;
+    it->second.seen_at = s.arrivals;
+    if (gap > per_shard_cap() / kBuildGapDivisor) return;
   }
-  // Second sighting: build the ~18 KiB tables outside the shard lock so
-  // concurrent lookups of other keys don't stall behind ~100 µs of point
-  // arithmetic. A racing builder does redundant work but publishes an
-  // identical value, so last-write-wins is harmless.
+  // Build the ~18 KiB tables outside the shard lock so concurrent lookups
+  // of other keys don't stall behind ~100 µs of point arithmetic. A
+  // racing builder does redundant work but publishes an identical value,
+  // so last-write-wins is harmless.
   auto built = std::make_shared<const secp::PubkeyPrecomp>(secp::build_pubkey_precomp(point));
   std::lock_guard<std::mutex> lock(s.mutex);
   const auto it = s.entries.find(key);
   if (it == s.entries.end()) return;  // evicted while building: drop the work
-  if (it->second == nullptr) {
-    it->second = std::move(built);
+  if (it->second.tables == nullptr) {
+    it->second.tables = std::move(built);
     insertions_.fetch_add(1, std::memory_order_relaxed);
   }
 }

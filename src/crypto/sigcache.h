@@ -103,10 +103,20 @@ class SigCache {
 /// and runs the half-length GLV chain over the wider window.
 ///
 /// Entries are ~18 KiB, so the cache is deliberately small (default 512
-/// keys ≈ 9 MiB) and builds lazily on the *second* sighting of a key — a
-/// one-shot payer never pays the ~100 µs table build. Values are
-/// shared_ptr so a reader keeps its tables alive across a concurrent
-/// eviction.
+/// keys ≈ 9 MiB) and builds lazily, only for a key that recurs faster
+/// than its shard turns over. A table costs ~125 µs to build and saves
+/// ~18 µs per warm hit, so it pays for itself only after ~7 hits. Each
+/// new key entering a full shard evicts a random resident, so a resident
+/// lasts about one shard capacity of arrivals, and a key that recurs
+/// after g arrivals is hit about capacity / g times before it goes. A
+/// key is therefore built only when it recurs within capacity / 8
+/// arrivals of its shard (kBuildGapDivisor). Its first sighting leaves
+/// a marker stamped with the shard's arrival count; a later sighting
+/// within the gap builds, an older one only re-stamps the marker. A
+/// one-shot payer, or a cold stream that cycles through more keys than
+/// the cache holds, never pays a build; a handful of returning keys is
+/// built by its second or third sighting. Values are shared_ptr so a
+/// reader keeps its tables alive across a concurrent eviction.
 class PubkeyPrecompCache {
  public:
   using Key = ByteArray<33>;
@@ -121,10 +131,11 @@ class PubkeyPrecompCache {
   [[nodiscard]] std::shared_ptr<const secp::PubkeyPrecomp> lookup(const Key& key);
 
   /// Report a *successful* verification against `point` (the decompressed
-  /// key): first sighting drops a marker, second builds and publishes the
-  /// wide tables (build runs outside the shard lock). Only-valid keys get
-  /// this far, so the cache can never hold tables for a point that was
-  /// not on the curve.
+  /// key): the first sighting drops a marker; a sighting within the build
+  /// gap of the marker's last one builds and publishes the wide tables
+  /// (the build runs outside the shard lock), a later one re-stamps the
+  /// marker. Only-valid keys get this far, so the cache can never hold
+  /// tables for a point that was not on the curve.
   void note_verified(const Key& key, const secp::AffinePoint& point);
 
   /// Re-bound the cache; trims overflowing shards immediately. 0 disables
@@ -151,8 +162,8 @@ class PubkeyPrecompCache {
   /// (GatewayConfig::pubkey_precomp_max): only a serving front end sees
   /// repeat payers. Elsewhere (block and mempool validation, dispute
   /// replay) a one-shot payer's binding and input signatures are two
-  /// sightings of one key, so two-touch admission would build ~18 KiB of
-  /// tables per payer that nothing reads again.
+  /// back-to-back sightings of one key, which the admission gate would
+  /// build ~18 KiB of tables for that nothing reads again.
   [[nodiscard]] static PubkeyPrecompCache& global();
 
  private:
@@ -165,14 +176,23 @@ class PubkeyPrecompCache {
     }
   };
 
+  struct Entry {
+    std::shared_ptr<const secp::PubkeyPrecomp> tables;  // null = marker
+    std::uint64_t seen_at = 0;  // the shard's arrivals at the last sighting
+  };
+
   struct alignas(64) Shard {
     mutable std::mutex mutex;
-    // null mapped value = seen-once marker (two-touch build policy).
-    std::unordered_map<Key, std::shared_ptr<const secp::PubkeyPrecomp>, KeyHash> entries;
+    std::unordered_map<Key, Entry, KeyHash> entries;
+    std::uint64_t arrivals = 0;  // keys that entered as a new marker
   };
 
   static constexpr std::size_t kShardBits = 4;
   static constexpr std::size_t kShardCount = 1 << kShardBits;
+  /// Build only for a key that recurs within per_shard_cap / this many
+  /// arrivals in its shard: it then expects ~8 warm hits, enough to repay
+  /// the build (see the class comment).
+  static constexpr std::size_t kBuildGapDivisor = 8;
 
   [[nodiscard]] Shard& shard_for(const Key& key) const noexcept;
   [[nodiscard]] std::size_t per_shard_cap() const noexcept;

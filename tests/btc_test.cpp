@@ -20,6 +20,8 @@ using crypto::PrivateKey;
 using crypto::PublicKey;
 using crypto::U256;
 
+TxRef tx_ref(const Transaction& tx) { return std::make_shared<const Transaction>(tx); }
+
 struct Wallet {
   PrivateKey key;
   PublicKey pub;
@@ -459,7 +461,9 @@ TEST(Mempool, AcceptsValidSpend) {
   sign_input(spend, 0, miner.key, miner.script);
 
   Mempool pool;
-  EXPECT_TRUE(pool.accept(spend, chain.utxo(), chain.height(), chain.params().coinbase_maturity).ok());
+  EXPECT_TRUE(
+      pool.accept(tx_ref(spend), chain.utxo(), chain.height(), chain.params().coinbase_maturity)
+          .ok());
   EXPECT_TRUE(pool.contains(spend.txid()));
 }
 
@@ -484,8 +488,8 @@ TEST(Mempool, RejectsDoubleSpendConflict) {
   sign_input(pay_self, 0, miner.key, miner.script);
 
   Mempool pool;
-  ASSERT_TRUE(pool.accept(pay_alice, chain.utxo(), chain.height(), 10).ok());
-  const Status conflict = pool.accept(pay_self, chain.utxo(), chain.height(), 10);
+  ASSERT_TRUE(pool.accept(tx_ref(pay_alice), chain.utxo(), chain.height(), 10).ok());
+  const Status conflict = pool.accept(tx_ref(pay_self), chain.utxo(), chain.height(), 10);
   EXPECT_FALSE(conflict.ok());
   EXPECT_EQ(conflict.error().code, "txn-mempool-conflict");
   EXPECT_EQ(pool.spender_of(coin).value(), pay_alice.txid());
@@ -503,7 +507,7 @@ TEST(Mempool, RejectsMissingInputsAndBadSig) {
   ghost.inputs.push_back(in);
   ghost.outputs.push_back(TxOut{100, alice.script});
   Mempool pool;
-  EXPECT_EQ(pool.accept(ghost, chain.utxo(), chain.height(), 10).error().code,
+  EXPECT_EQ(pool.accept(tx_ref(ghost), chain.utxo(), chain.height(), 10).error().code,
             "bad-txns-inputs-missingorspent");
 }
 
@@ -522,7 +526,7 @@ TEST(Mempool, RemoveForBlockEvictsConfirmedAndConflicts) {
   sign_input(pay_alice, 0, miner.key, miner.script);
 
   Mempool pool;
-  ASSERT_TRUE(pool.accept(pay_alice, chain.utxo(), chain.height(), 10).ok());
+  ASSERT_TRUE(pool.accept(tx_ref(pay_alice), chain.utxo(), chain.height(), 10).ok());
 
   // A *different* tx spending the same coin confirms (the double spend).
   Transaction pay_mallory;

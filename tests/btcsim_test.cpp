@@ -107,6 +107,36 @@ TEST(Network, TxPropagatesAndEntersMempools) {
   }
 }
 
+TEST(Network, RelayedTxIsOneSharedObject) {
+  Simulator sim;
+  Network net(sim, btc::ChainParams::regtest(), {}, 45);
+  for (int i = 0; i < 5; ++i) net.add_node();
+
+  const Party owner = Party::make(5);
+  const Party payee = Party::make(6);
+  const auto funding = build_funding_chain(net.params(), {owner.script}, 1);
+  for (int i = 0; i < 5; ++i) seed_node(net.node(i), funding);
+  sim.run_all();
+
+  const auto coins = find_spendable(net.node(0).chain(), owner.script);
+  ASSERT_FALSE(coins.empty());
+  const btc::TxRef ref = std::make_shared<const btc::Transaction>(build_payment(
+      owner, coins[0].first, coins[0].second.out.value, payee.script, 10 * btc::kCoin));
+  net.node(0).receive_tx(ref);
+  // This caller, node 0's mempool and the 4 queued peer deliveries.
+  EXPECT_EQ(ref.use_count(), 1 + 1 + 4);
+  EXPECT_EQ(sim.pending(), 4u);
+
+  sim.run_all();
+  for (int i = 0; i < 5; ++i) {
+    const auto held = net.node(i).mempool().get(ref->txid());
+    ASSERT_TRUE(held.has_value()) << "node " << i;
+    EXPECT_EQ(*held, *ref) << "node " << i;
+  }
+  // Every delivery has run; each of the 5 mempools holds the same object.
+  EXPECT_EQ(ref.use_count(), 1 + 5);
+}
+
 TEST(Network, OrphanBlocksConnectWhenParentArrives) {
   Simulator sim;
   Network net(sim, btc::ChainParams::regtest(), {}, 44);

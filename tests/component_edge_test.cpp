@@ -15,6 +15,10 @@ namespace {
 using core::Deployment;
 using core::DeploymentConfig;
 
+btc::TxRef tx_ref(const btc::Transaction& tx) {
+  return std::make_shared<const btc::Transaction>(tx);
+}
+
 TEST(RelayerUnit, NoUpdateWhenWithinLag) {
   DeploymentConfig cfg;
   cfg.seed = 61;
@@ -69,7 +73,7 @@ TEST(MempoolEdge, DrainEmptiesEverything) {
     const auto tx = sim::build_payment(owner, coins[static_cast<std::size_t>(i)].first,
                                        coins[static_cast<std::size_t>(i)].second.out.value,
                                        payee.script, btc::kCoin);
-    ASSERT_TRUE(pool.accept(tx, chain.utxo(), chain.height(), 10).ok());
+    ASSERT_TRUE(pool.accept(tx_ref(tx), chain.utxo(), chain.height(), 10).ok());
   }
   EXPECT_EQ(pool.size(), 2u);
   const auto drained = pool.drain();
@@ -87,15 +91,15 @@ TEST(MempoolEdge, RejectsCoinbaseAndDuplicates) {
     ASSERT_EQ(chain.submit_block(b), btc::SubmitResult::kActiveTip);
   }
   btc::Mempool pool;
-  EXPECT_EQ(pool.accept(btc::genesis_coinbase(), chain.utxo(), chain.height(), 10)
+  EXPECT_EQ(pool.accept(tx_ref(btc::genesis_coinbase()), chain.utxo(), chain.height(), 10)
                 .error()
                 .code,
             "coinbase");
   const auto coins = sim::find_spendable(chain, owner.script);
   const auto tx = sim::build_payment(owner, coins[0].first, coins[0].second.out.value,
                                      owner.script, btc::kCoin);
-  ASSERT_TRUE(pool.accept(tx, chain.utxo(), chain.height(), 10).ok());
-  EXPECT_EQ(pool.accept(tx, chain.utxo(), chain.height(), 10).error().code,
+  ASSERT_TRUE(pool.accept(tx_ref(tx), chain.utxo(), chain.height(), 10).ok());
+  EXPECT_EQ(pool.accept(tx_ref(tx), chain.utxo(), chain.height(), 10).error().code,
             "txn-already-in-mempool");
 }
 

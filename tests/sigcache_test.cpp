@@ -2,6 +2,10 @@
 // and — the safety property — no false positives for mutated triples.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "crypto/ecdsa.h"
 #include "crypto/sha256.h"
@@ -178,7 +182,7 @@ TEST(SigCache, ClearDropsEntriesButKeepsStats) {
   EXPECT_EQ(cache.stats().insertions, 2u);
 }
 
-// --- PubkeyPrecompCache: two-touch build policy, warm-path soundness,
+// --- PubkeyPrecompCache: recurrence-gated builds, warm-path soundness,
 // bounded eviction, disable knob. ---
 
 /// Distinct valid triples for ONE key (a repeat payer).
@@ -217,6 +221,71 @@ TEST(PubkeyPrecompCache, TwoTouchBuildThenWarmHits) {
   EXPECT_TRUE(check_pre(nullptr, pre, make_triple_for_key(key, 3)));
   EXPECT_EQ(pre.stats().hits, 1u);
   EXPECT_EQ(pre.stats().misses, 0u);
+}
+
+// The cold shape of the fast-pay front end: back-to-back random
+// permutations of 4x more keys than a default cache holds, each key
+// looked up and (on a miss) noted the way a batch-verify pass does. A key
+// recurs only after ~2048 others, so a table built for it is evicted
+// before it is read: the cache should build almost nothing.
+TEST(PubkeyPrecompCache, ColdStreamBuildsAlmostNothing) {
+  constexpr std::size_t kKeys = 2048;
+  constexpr int kPermutations = 8;
+  // Tables the two-touch policy (build on every second sighting whose
+  // marker survived) published on this exact stream.
+  constexpr std::uint64_t kTwoTouchInsertions = 1142;
+  std::vector<PubkeyPrecompCache::Key> keys;
+  std::vector<secp::AffinePoint> points;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    const auto pub = PublicKey::derive(*PrivateKey::from_scalar(U256(0x10000 + k)));
+    keys.push_back(pub.serialize());
+    points.push_back(pub.point());
+  }
+  PubkeyPrecompCache pre;
+  ASSERT_EQ(pre.max_entries(), PubkeyPrecompCache::kDefaultMaxEntries);
+  Rng rng(2048);
+  std::vector<std::size_t> order(kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) order[i] = i;
+  for (int p = 0; p < kPermutations; ++p) {
+    for (std::size_t i = kKeys - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+    for (const std::size_t k : order) {
+      if (pre.lookup(keys[k]) == nullptr) pre.note_verified(keys[k], points[k]);
+    }
+  }
+  const auto st = pre.stats();
+  std::printf("cold stream: %llu insertions, %llu hits (two-touch: %llu insertions)\n",
+              static_cast<unsigned long long>(st.insertions),
+              static_cast<unsigned long long>(st.hits),
+              static_cast<unsigned long long>(kTwoTouchInsertions));
+  EXPECT_LE(st.insertions * 10, kTwoTouchInsertions);
+}
+
+// The hot shape: a handful of returning keys sighted round-robin. Each is
+// built by its third sighting at the latest and hits on every later one.
+TEST(PubkeyPrecompCache, RoundRobinKeysBuildByThirdSighting) {
+  constexpr int kKeys = 4;
+  PubkeyPrecompCache pre;
+  std::vector<PrivateKey> keys;
+  for (int k = 0; k < kKeys; ++k) keys.push_back(*PrivateKey::from_scalar(U256(0x6100 + k)));
+  std::uint64_t msg = 100;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& key : keys) {
+      EXPECT_TRUE(check_pre(nullptr, pre, make_triple_for_key(key, ++msg)));
+    }
+  }
+  for (const auto& key : keys) {
+    EXPECT_NE(pre.lookup(PublicKey::derive(key).serialize()), nullptr);
+  }
+  EXPECT_LE(pre.stats().insertions, static_cast<std::uint64_t>(kKeys));
+  pre.reset_stats();
+  for (int round = 0; round < 5; ++round) {
+    for (const auto& key : keys) {
+      EXPECT_TRUE(check_pre(nullptr, pre, make_triple_for_key(key, ++msg)));
+    }
+  }
+  EXPECT_EQ(pre.stats().hits, 5u * kKeys);
+  EXPECT_EQ(pre.stats().misses, 0u);
+  EXPECT_EQ(pre.stats().insertions, 0u);
 }
 
 TEST(PubkeyPrecompCache, WarmPathStillRejectsInvalidSignatures) {
