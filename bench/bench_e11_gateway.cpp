@@ -248,12 +248,14 @@ int main() {
     if (threads == scale_threads) accepts_s_scale = accepts_s;
     if (threads == max_threads) {
       p99_last = st.latency().percentile_us(99);
-      sig_hits = st.sigcache_hits();
-      sig_misses = st.sigcache_misses();
-      pre_hits = st.precomp_hits();
-      pre_misses = st.precomp_misses();
-      pre_insertions = st.precomp_insertions();
-      pre_evictions = st.precomp_evictions();
+      const auto sig = crypto::SigCache::global().stats();
+      const auto pre = crypto::PubkeyPrecompCache::global().stats();
+      sig_hits = sig.hits;
+      sig_misses = sig.misses;
+      pre_hits = pre.hits;
+      pre_misses = pre.misses;
+      pre_insertions = pre.insertions;
+      pre_evictions = pre.evictions;
     }
     throughput.row({bench::fmt_u(threads), bench::fmt_u(steady), bench::fmt_u(st.accepts()),
                     bench::fmt_u(st.rejects()), bench::fmt_u(st.sheds()),

@@ -67,16 +67,7 @@ Gateway::Gateway(core::MerchantService& merchant, common::ThreadPool& pool, Gate
       config_.max_receipts == 0 ? 0 : std::max<std::size_t>(1, config_.max_receipts / n);
 }
 
-void Gateway::attach_store(store::DurableStore* store) {
-  store_ = store;
-  sync_store_stats();
-}
-
-void Gateway::sync_store_stats() {
-  if (store_ == nullptr) return;
-  front_stats_.set_store_metrics(store_->wal_appends(), store_->wal_syncs(),
-                                 store_->recovery().replayed_records, store_->snapshot_bytes());
-}
+void Gateway::attach_store(store::DurableStore* store) { store_ = store; }
 
 bool Gateway::restore_from(const store::StateImage& image) {
   bool ok = true;
@@ -111,7 +102,6 @@ bool Gateway::restore_from(const store::StateImage& image) {
   for (const EscrowId id : ids) {
     if (const auto view = merchant_.escrow_view(id)) shard_for(id).ledger.upsert_escrow(id, *view);
   }
-  sync_store_stats();
   return ok;
 }
 
@@ -572,12 +562,10 @@ bool Gateway::commit_batch(BatchCommit& batch, std::vector<Bytes>& out, std::uin
     }
     if (committed) (void)store_->commit();
     publish_receipts(batch);
-    sync_store_stats();
     return false;
   }
   const std::uint64_t commit_us = elapsed_us(t0);
   const std::size_t count = batch.accepts.size();
-  if (batch.last_seq != 0) sync_store_stats();
   publish_receipts(batch);
   for (auto& p : batch.accepts) {
     Shard& sh = *shards_[p.shard];
@@ -655,10 +643,8 @@ std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
                                         std::make_move_iterator(epoch[i].end()));
       }
       queued_accepts_.fetch_add(requeued, std::memory_order_acq_rel);
-      sync_store_stats();
       return {};
     }
-    sync_store_stats();
   }
 
   // Apply merchant bookkeeping deterministically: shard order, then
@@ -714,23 +700,41 @@ void Gateway::reconcile(std::uint64_t now_ms) {
   std::vector<ReservationId> expired;
   for (auto& shard : shards_) (void)shard->ledger.expire_due(now_ms, &expired);
   for (const ReservationId rid : expired) log_release(rid, store::ReleaseCause::kExpired);
-  if (logged) {
-    (void)store_->commit();
-    sync_store_stats();
-  }
+  if (logged) (void)store_->commit();
 }
 
 GatewayStats Gateway::stats() const {
   GatewayStats out(front_stats_);
   for (const auto& shard : shards_) out.accumulate(shard->stats);
-  // The crypto caches are process-wide; snapshot their counters as
-  // gauges so the JSON dump shows verify-cache efficacy next to the
-  // serving counters.
-  const auto sig = crypto::SigCache::global().stats();
-  const auto pre = crypto::PubkeyPrecompCache::global().stats();
-  out.set_cache_metrics(sig.hits, sig.misses, sig.insertions, sig.evictions, pre.hits, pre.misses,
-                        pre.insertions, pre.evictions);
   return out;
+}
+
+std::string Gateway::stats_json(const std::vector<StatsSection>& extra) const {
+  std::vector<StatsSection> sections;
+  if (store_ != nullptr) {
+    sections.push_back({"store",
+                        {{"wal_appends", store_->wal_appends()},
+                         {"fsyncs", store_->wal_syncs()},
+                         {"recovery_replayed_records", store_->recovery().replayed_records},
+                         {"snapshot_bytes", store_->snapshot_bytes()}},
+                        {}});
+  }
+  // The crypto caches are process-wide: their counters show verify-cache
+  // efficacy next to the serving counters.
+  const auto cache = [](const char* name, const auto& s) {
+    return StatsSection{name,
+                        {{"hits", s.hits},
+                         {"misses", s.misses},
+                         {"insertions", s.insertions},
+                         {"evictions", s.evictions}},
+                        {}};
+  };
+  sections.push_back({"caches",
+                      {},
+                      {cache("sigcache", crypto::SigCache::global().stats()),
+                       cache("pubkey_precomp", crypto::PubkeyPrecompCache::global().stats())}});
+  sections.insert(sections.end(), extra.begin(), extra.end());
+  return stats().to_json(sections);
 }
 
 const GatewayStats& Gateway::shard_stats(std::size_t i) const {
@@ -740,7 +744,6 @@ const GatewayStats& Gateway::shard_stats(std::size_t i) const {
 void Gateway::reset_stats() {
   front_stats_.reset();
   for (auto& shard : shards_) shard->stats.reset();
-  sync_store_stats();
 }
 
 std::optional<ReservationLedger::EscrowSnapshot> Gateway::escrow_snapshot(EscrowId id) const {

@@ -200,6 +200,11 @@ class Gateway {
   /// Aggregated counters across the admission front and every shard
   /// (relaxed snapshot; safe during concurrent serve).
   [[nodiscard]] GatewayStats stats() const;
+  /// The stats document, read from every owner at this moment: stats(),
+  /// then the attached store's section (when one is attached), the
+  /// crypto caches' section and `extra` (e.g. TcpServer::stats_section,
+  /// ReplicationGroup::stats_section). Safe during concurrent serve.
+  [[nodiscard]] std::string stats_json(const std::vector<StatsSection>& extra = {}) const;
   /// One shard's private counters (i < shard_count()).
   [[nodiscard]] const GatewayStats& shard_stats(std::size_t i) const;
   void reset_stats();
@@ -220,27 +225,6 @@ class Gateway {
   [[nodiscard]] std::size_t commit_queue_depth() const;
   /// serve_batch's verify-pass counters.
   [[nodiscard]] const VerifyPassStats& batcher() const noexcept { return verify_pass_; }
-
-  /// Mirror the TCP front end's counters into the stats JSON (gauge
-  /// slots on the front stats, same pattern as the store metrics). The
-  /// net server calls this via TcpServer::fold_into.
-  void set_net_metrics(std::uint64_t conns_accepted, std::uint64_t conns_active,
-                       std::uint64_t bans, std::uint64_t frames_in, std::uint64_t sheds_seen,
-                       std::uint64_t disconnects) noexcept {
-    front_stats_.set_net_metrics(conns_accepted, conns_active, bans, frames_in, sheds_seen,
-                                 disconnects);
-  }
-
-  /// Mirror the replication group's gauges into the stats JSON (same
-  /// gauge pattern as the net metrics; the deployment driver calls this
-  /// after pumping the group).
-  void set_replication_metrics(std::uint64_t epoch, std::uint64_t followers,
-                               std::uint64_t quorum, std::uint64_t acked_seq,
-                               std::uint64_t batches_shipped, std::uint64_t ship_failures,
-                               std::uint64_t snapshot_installs) noexcept {
-    front_stats_.set_replication_metrics(epoch, followers, quorum, acked_seq, batches_shipped,
-                                         ship_failures, snapshot_installs);
-  }
 
  private:
   struct Accepted {
@@ -328,7 +312,6 @@ class Gateway {
   void record_receipt(BatchCommit& batch, std::uint64_t request_id, bool accepted,
                       RejectReason code, std::uint64_t now_ms);
   void publish_receipts(const BatchCommit& batch);
-  void sync_store_stats();
 
   core::MerchantService& merchant_;
   common::ThreadPool& pool_;

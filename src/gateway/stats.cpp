@@ -1,10 +1,31 @@
 #include "gateway/stats.h"
 
 #include <bit>
-#include <cstdio>
 #include <sstream>
 
 namespace btcfast::gateway {
+
+namespace {
+
+/// `"name": {...}` at `indent`, one counter or nested object per line.
+void write_section(std::ostringstream& os, const StatsSection& section,
+                   const std::string& indent) {
+  const std::string inner = indent + "  ";
+  os << indent << '"' << section.name << "\": {";
+  const char* sep = "\n";
+  for (const auto& [key, value] : section.values) {
+    os << sep << inner << '"' << key << "\": " << value;
+    sep = ",\n";
+  }
+  for (const auto& nested : section.sections) {
+    os << sep;
+    write_section(os, nested, inner);
+    sep = ",\n";
+  }
+  os << "\n" << indent << "}";
+}
+
+}  // namespace
 
 void LatencyHistogram::record_us(std::uint64_t us) noexcept {
   std::size_t idx = us == 0 ? 0 : static_cast<std::size_t>(std::bit_width(us) - 1);
@@ -87,36 +108,6 @@ void GatewayStats::accumulate(const GatewayStats& other) noexcept {
     const auto c = other.by_reason_[i].load(std::memory_order_relaxed);
     if (c != 0) by_reason_[i].fetch_add(c, std::memory_order_relaxed);
   }
-  auto take_max = [](std::atomic<std::uint64_t>& dst, std::uint64_t v) {
-    auto cur = dst.load(std::memory_order_relaxed);
-    while (v > cur && !dst.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  };
-  take_max(store_wal_appends_, other.store_wal_appends());
-  take_max(store_wal_fsyncs_, other.store_wal_fsyncs());
-  take_max(store_recovery_replayed_, other.store_recovery_replayed());
-  take_max(store_snapshot_bytes_, other.store_snapshot_bytes());
-  take_max(sigcache_hits_, other.sigcache_hits());
-  take_max(sigcache_misses_, other.sigcache_misses());
-  take_max(sigcache_insertions_, other.sigcache_insertions());
-  take_max(sigcache_evictions_, other.sigcache_evictions());
-  take_max(precomp_hits_, other.precomp_hits());
-  take_max(precomp_misses_, other.precomp_misses());
-  take_max(precomp_insertions_, other.precomp_insertions());
-  take_max(precomp_evictions_, other.precomp_evictions());
-  take_max(net_conns_accepted_, other.net_conns_accepted());
-  take_max(net_conns_active_, other.net_conns_active());
-  take_max(net_bans_, other.net_bans());
-  take_max(net_frames_in_, other.net_frames_in());
-  take_max(net_sheds_seen_, other.net_sheds_seen());
-  take_max(net_disconnects_, other.net_disconnects());
-  take_max(repl_epoch_, other.repl_epoch());
-  take_max(repl_followers_, other.repl_followers());
-  take_max(repl_quorum_, other.repl_quorum());
-  take_max(repl_acked_seq_, other.repl_acked_seq());
-  take_max(repl_batches_shipped_, other.repl_batches_shipped());
-  take_max(repl_ship_failures_, other.repl_ship_failures());
-  take_max(repl_snapshot_installs_, other.repl_snapshot_installs());
   latency_.accumulate(other.latency_);
   for (std::size_t i = 0; i < kStageCount; ++i) stages_[i].accumulate(other.stages_[i]);
 }
@@ -153,7 +144,7 @@ std::uint64_t GatewayStats::rejects_for(core::RejectReason code) const noexcept 
       std::memory_order_relaxed);
 }
 
-std::string GatewayStats::to_json() const {
+std::string GatewayStats::to_json(const std::vector<StatsSection>& sections) const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"accepts\": " << accepts() << ",\n";
@@ -171,37 +162,10 @@ std::string GatewayStats::to_json() const {
     os << "\n    \"" << core::describe(static_cast<core::RejectReason>(i)) << "\": " << c;
   }
   os << (first ? "" : "\n  ") << "},\n";
-  os << "  \"store\": {\n";
-  os << "    \"wal_appends\": " << store_wal_appends() << ",\n";
-  os << "    \"fsyncs\": " << store_wal_fsyncs() << ",\n";
-  os << "    \"recovery_replayed_records\": " << store_recovery_replayed() << ",\n";
-  os << "    \"snapshot_bytes\": " << store_snapshot_bytes() << "\n";
-  os << "  },\n";
-  os << "  \"caches\": {\n";
-  os << "    \"sigcache\": {\"hits\": " << sigcache_hits() << ", \"misses\": " << sigcache_misses()
-     << ", \"insertions\": " << sigcache_insertions() << ", \"evictions\": " << sigcache_evictions()
-     << "},\n";
-  os << "    \"pubkey_precomp\": {\"hits\": " << precomp_hits()
-     << ", \"misses\": " << precomp_misses() << ", \"insertions\": " << precomp_insertions()
-     << ", \"evictions\": " << precomp_evictions() << "}\n";
-  os << "  },\n";
-  os << "  \"net\": {\n";
-  os << "    \"conns_accepted\": " << net_conns_accepted() << ",\n";
-  os << "    \"conns_active\": " << net_conns_active() << ",\n";
-  os << "    \"bans\": " << net_bans() << ",\n";
-  os << "    \"frames_in\": " << net_frames_in() << ",\n";
-  os << "    \"sheds_seen\": " << net_sheds_seen() << ",\n";
-  os << "    \"disconnects\": " << net_disconnects() << "\n";
-  os << "  },\n";
-  os << "  \"replication\": {\n";
-  os << "    \"epoch\": " << repl_epoch() << ",\n";
-  os << "    \"followers\": " << repl_followers() << ",\n";
-  os << "    \"quorum\": " << repl_quorum() << ",\n";
-  os << "    \"acked_seq\": " << repl_acked_seq() << ",\n";
-  os << "    \"batches_shipped\": " << repl_batches_shipped() << ",\n";
-  os << "    \"ship_failures\": " << repl_ship_failures() << ",\n";
-  os << "    \"snapshot_installs\": " << repl_snapshot_installs() << "\n";
-  os << "  },\n";
+  for (const auto& section : sections) {
+    write_section(os, section, "  ");
+    os << ",\n";
+  }
   os << "  \"latency_us\": {\n";
   os << "    \"count\": " << latency_.count() << ",\n";
   os << "    \"mean\": " << latency_.mean_us() << ",\n";
@@ -222,20 +186,6 @@ std::string GatewayStats::to_json() const {
   return os.str();
 }
 
-bool GatewayStats::write_json(const std::string& path) const {
-  const std::string body = to_json();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (!f) return false;
-  const bool wrote = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 void GatewayStats::reset() noexcept {
   accepts_.store(0, std::memory_order_relaxed);
   rejects_.store(0, std::memory_order_relaxed);
@@ -243,13 +193,6 @@ void GatewayStats::reset() noexcept {
   queue_depth_.store(0, std::memory_order_relaxed);
   peak_queue_depth_.store(0, std::memory_order_relaxed);
   for (auto& r : by_reason_) r.store(0, std::memory_order_relaxed);
-  store_wal_appends_.store(0, std::memory_order_relaxed);
-  store_wal_fsyncs_.store(0, std::memory_order_relaxed);
-  store_recovery_replayed_.store(0, std::memory_order_relaxed);
-  store_snapshot_bytes_.store(0, std::memory_order_relaxed);
-  set_cache_metrics(0, 0, 0, 0, 0, 0, 0, 0);
-  set_net_metrics(0, 0, 0, 0, 0, 0);
-  set_replication_metrics(0, 0, 0, 0, 0, 0, 0);
   latency_.reset();
   for (auto& s : stages_) s.reset();
 }

@@ -341,10 +341,16 @@ NetStatsSnapshot TcpServer::stats() const {
   return s;
 }
 
-void TcpServer::fold_into(gateway::Gateway& gw) const {
+gateway::StatsSection TcpServer::stats_section() const {
   const auto s = stats();
-  gw.set_net_metrics(s.conns_accepted, s.conns_active, s.bans_issued, s.frames_in,
-                     s.sheds_seen, s.disconnects);
+  return {"net",
+          {{"conns_accepted", s.conns_accepted},
+           {"conns_active", s.conns_active},
+           {"bans", s.bans_issued},
+           {"frames_in", s.frames_in},
+           {"sheds_seen", s.sheds_seen},
+           {"disconnects", s.disconnects}},
+          {}};
 }
 
 }  // namespace btcfast::net

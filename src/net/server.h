@@ -140,9 +140,9 @@ class TcpServer {
     return active_.load(std::memory_order_relaxed);
   }
 
-  /// Fold the net counters into the gateway's stats JSON (gauge slots,
-  /// same pattern as the store/cache metrics).
-  void fold_into(gateway::Gateway& gw) const;
+  /// This server's section of the stats document (Gateway::stats_json),
+  /// read from stats() at the call.
+  [[nodiscard]] gateway::StatsSection stats_section() const;
 
  private:
   void handle_accepts(std::uint64_t now_ms);

@@ -180,4 +180,17 @@ ReplicationStats ReplicationGroup::stats() const {
   return s;
 }
 
+gateway::StatsSection ReplicationGroup::stats_section() const {
+  const ReplicationStats s = stats();
+  return {"replication",
+          {{"epoch", s.epoch},
+           {"followers", s.followers},
+           {"quorum", s.quorum},
+           {"acked_seq", s.acked_watermark},
+           {"batches_shipped", s.batches_shipped},
+           {"ship_failures", s.ship_failures},
+           {"snapshot_installs", s.snapshot_installs}},
+          {}};
+}
+
 }  // namespace btcfast::replication

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 
+#include "gateway/stats.h"
 #include "replication/follower.h"
 #include "replication/log_ship.h"
 #include "store/recovery.h"
@@ -107,6 +108,9 @@ class ReplicationGroup final : public store::CommitGate {
   [[nodiscard]] std::uint64_t acked_high() const;
   [[nodiscard]] std::uint64_t epoch() const;
   [[nodiscard]] ReplicationStats stats() const;
+  /// This group's section of the stats document (Gateway::stats_json),
+  /// read from stats() at the call.
+  [[nodiscard]] gateway::StatsSection stats_section() const;
 
  private:
   ReplicationConfig config_;

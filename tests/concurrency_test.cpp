@@ -2,11 +2,12 @@
 // serving path: Transaction::txid() memoization (striped mutexes over a
 // process-global memo), the 64-shard signature cache, the gateway's
 // sharded reservation ledger, and the TCP front end under real loopback
-// client churn. These are the tests the TSan preset exists for — each
-// spins N threads against one shared object and asserts the results stay
-// consistent.
+// client churn while a monitor renders the stats document. These are the
+// tests the TSan preset exists for — each spins N threads against one
+// shared object and asserts the results stay consistent.
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -36,6 +37,7 @@
 #include "net/server.h"
 #include "replication/failover.h"
 #include "replication/follower.h"
+#include "stats_doc.h"
 
 namespace btcfast {
 namespace {
@@ -537,6 +539,22 @@ TEST(ConcurrencyTest, NetworkLoopbackChurnHammer) {
     return fd;
   };
 
+  // A monitor renders the whole stats document while the clients are
+  // served: every owner's counters are read under live traffic.
+  std::atomic<bool> clients_done{false};
+  std::atomic<std::size_t> renders{0};
+  std::atomic<std::size_t> bad_renders{0};
+  std::thread monitor([&] {
+    do {
+      const std::string doc = gw.stats_json({server.stats_section()});
+      const auto accepts = stats_doc::counter(doc, "", "accepts");
+      const auto frames = stats_doc::counter(doc, "net", "frames_in");
+      if (!accepts || *accepts > kPkgs || !frames || *frames > 2 * kPkgs) bad_renders.fetch_add(1);
+      renders.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    } while (!clients_done.load(std::memory_order_acquire));
+  });
+
   // Per-client tallies, merged after join (no cross-thread sharing).
   std::vector<std::vector<std::uint64_t>> rids(kClients);
   std::atomic<int> failures{0};
@@ -598,6 +616,14 @@ TEST(ConcurrencyTest, NetworkLoopbackChurnHammer) {
     });
   }
   for (auto& th : clients) th.join();
+  clients_done.store(true, std::memory_order_release);
+  monitor.join();
+  EXPECT_GE(renders.load(), 1u);
+  EXPECT_EQ(bad_renders.load(), 0u);
+  // Every response was read, so each owner has counted all of its work.
+  const std::string doc = gw.stats_json({server.stats_section()});
+  EXPECT_EQ(stats_doc::counter(doc, "", "accepts"), kPkgs);
+  EXPECT_EQ(stats_doc::counter(doc, "net", "frames_in"), 2 * kPkgs);
   server.stop();
   loop.join();
 

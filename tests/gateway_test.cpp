@@ -14,10 +14,12 @@
 #include "btcfast/customer.h"
 #include "btcfast/orchestrator.h"
 #include "common/thread_pool.h"
+#include "crypto/ecdsa.h"
 #include "gateway/pipeline.h"
 #include "gateway/reservation_ledger.h"
 #include "gateway/stats.h"
 #include "gateway/wire.h"
+#include "stats_doc.h"
 
 namespace btcfast::gateway {
 namespace {
@@ -469,28 +471,37 @@ TEST(GatewayStatsTest, CountersAndJson) {
 }
 
 TEST(GatewayStatsTest, CacheGaugesInJson) {
-  GatewayStats st;
-  st.set_cache_metrics(10, 2, 8, 1, 20, 4, 3, 0);
-  EXPECT_EQ(st.sigcache_hits(), 10u);
-  EXPECT_EQ(st.precomp_hits(), 20u);
-  EXPECT_EQ(st.precomp_evictions(), 0u);
-  const std::string json = st.to_json();
+  // The caches section is read from the process-wide caches when the
+  // document is rendered.
+  core::Deployment dep(core::DeploymentConfig{});
+  common::ThreadPool pool{0};
+  Gateway gw(dep.merchant(), pool, GatewayConfig{});
+  const auto key = *crypto::PrivateKey::from_scalar(crypto::U256{0x57a75});
+  const auto pub = crypto::PublicKey::derive(key).serialize();
+  const crypto::Sha256Digest digest{};
+  const auto sig64 = crypto::ecdsa_sign(key, digest).serialize();
+  for (int i = 0; i < 2; ++i) {  // a miss, then a hit
+    ASSERT_TRUE(crypto::verify_signature({pub.data(), pub.size()}, digest,
+                                         {sig64.data(), sig64.size()}));
+  }
+  const std::string json = gw.stats_json();
   EXPECT_NE(json.find("\"caches\""), std::string::npos);
   EXPECT_NE(json.find("\"sigcache\""), std::string::npos);
   EXPECT_NE(json.find("\"pubkey_precomp\""), std::string::npos);
+  EXPECT_EQ(json.find("\"store\""), std::string::npos);  // no store attached
 
-  // accumulate() treats the cache fields as gauges: take-max, not sum.
-  GatewayStats other;
-  other.set_cache_metrics(4, 9, 1, 2, 5, 11, 1, 7);
-  st.accumulate(other);
-  EXPECT_EQ(st.sigcache_hits(), 10u);
-  EXPECT_EQ(st.sigcache_misses(), 9u);
-  EXPECT_EQ(st.precomp_hits(), 20u);
-  EXPECT_EQ(st.precomp_evictions(), 7u);
-
-  st.reset();
-  EXPECT_EQ(st.sigcache_hits(), 0u);
-  EXPECT_EQ(st.precomp_hits(), 0u);
+  const auto sig = crypto::SigCache::global().stats();
+  const auto pre = crypto::PubkeyPrecompCache::global().stats();
+  EXPECT_GT(sig.insertions, 0u);
+  EXPECT_GT(sig.hits, 0u);
+  EXPECT_EQ(stats_doc::counter(json, "sigcache", "hits"), sig.hits);
+  EXPECT_EQ(stats_doc::counter(json, "sigcache", "misses"), sig.misses);
+  EXPECT_EQ(stats_doc::counter(json, "sigcache", "insertions"), sig.insertions);
+  EXPECT_EQ(stats_doc::counter(json, "sigcache", "evictions"), sig.evictions);
+  EXPECT_EQ(stats_doc::counter(json, "pubkey_precomp", "hits"), pre.hits);
+  EXPECT_EQ(stats_doc::counter(json, "pubkey_precomp", "misses"), pre.misses);
+  EXPECT_EQ(stats_doc::counter(json, "pubkey_precomp", "insertions"), pre.insertions);
+  EXPECT_EQ(stats_doc::counter(json, "pubkey_precomp", "evictions"), pre.evictions);
 }
 
 // -------------------------------------------------------------- pipeline

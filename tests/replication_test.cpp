@@ -7,7 +7,8 @@
 // record), catch-up after follower restart, and snapshot install past
 // compaction. The gateway's batch commit is tested here too: one WAL
 // commit and one quorum commit per serve_batch, byte-identical to a
-// serve() loop, and undone whole when the commit or the quorum fails.
+// serve() loop, and undone whole when the commit or the quorum fails;
+// so is its stats document's replication section.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -28,6 +29,7 @@
 #include "replication/failover.h"
 #include "replication/follower.h"
 #include "replication/log_ship.h"
+#include "stats_doc.h"
 #include "store/recovery.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
@@ -818,6 +820,49 @@ TEST(GatewayBatchCommit, CrashInsideTheBatchCommitKeepsEveryReturnedAccept) {
   }
   fs::remove_all(cut_dir);
   fs::remove_all(dir);
+}
+
+// The stats document reads every owner when it is rendered: after one
+// accept through a store and a quorum-1 group, its replication section is
+// the group's stats() and its store section the store's counters.
+TEST(ReplicationGroup, StatsDocumentReadsTheGroupAndTheStore) {
+  BatchWorld w;
+  common::ThreadPool pool(0);
+  gateway::Gateway& gw = w.gateway(pool);
+  Rig rig = Rig::make("stats-doc", 1, no_fsync());
+  ReplicationConfig rcfg;
+  rcfg.quorum = 1;
+  ReplicationGroup group(rcfg);
+  group.attach_primary(rig.primary.get());
+  group.add_follower(rig.links[0].get());
+  gw.attach_store(rig.primary.get());
+  gw.attach_commit_gate(&group);
+  ASSERT_EQ(result_code(gw.serve(submit(1, w.invoices[0], w.pay(0)), w.now)),
+            static_cast<std::uint16_t>(core::RejectReason::kNone));
+
+  const std::string doc = gw.stats_json({group.stats_section()});
+  const ReplicationStats rs = group.stats();
+  EXPECT_EQ(rs.followers, 1u);
+  EXPECT_EQ(rs.quorum, 1u);
+  EXPECT_GE(rs.batches_shipped, 1u);
+  using stats_doc::counter;
+  EXPECT_EQ(counter(doc, "replication", "epoch"), rs.epoch);
+  EXPECT_EQ(counter(doc, "replication", "followers"), rs.followers);
+  EXPECT_EQ(counter(doc, "replication", "quorum"), rs.quorum);
+  EXPECT_EQ(counter(doc, "replication", "acked_seq"), rs.acked_watermark);
+  EXPECT_EQ(counter(doc, "replication", "batches_shipped"), rs.batches_shipped);
+  EXPECT_EQ(counter(doc, "replication", "ship_failures"), rs.ship_failures);
+  EXPECT_EQ(counter(doc, "replication", "snapshot_installs"), rs.snapshot_installs);
+
+  store::DurableStore& st = *rig.primary;
+  EXPECT_EQ(counter(doc, "store", "wal_appends"), st.wal_appends());
+  EXPECT_EQ(counter(doc, "store", "fsyncs"), st.wal_syncs());
+  EXPECT_EQ(counter(doc, "store", "recovery_replayed_records"), st.recovery().replayed_records);
+  EXPECT_EQ(counter(doc, "store", "snapshot_bytes"), st.snapshot_bytes());
+  EXPECT_EQ(counter(doc, "", "accepts"), 1u);
+
+  gw.attach_commit_gate(nullptr);
+  gw.attach_store(nullptr);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "common/thread_pool.h"
 #include "gateway/pipeline.h"
 #include "gateway/wire.h"
+#include "stats_doc.h"
 #include "store/crc32c.h"
 #include "store/fault_file.h"
 #include "store/recovery.h"
@@ -996,8 +997,10 @@ TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
   const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
   ASSERT_TRUE(resp.accepted) << resp.reason;
   EXPECT_EQ(gw->commit_queue_depth(), 1u);
-  // The accept was WAL-committed before the response left serve().
-  EXPECT_GE(gw->stats().store_wal_appends(), 1u);
+  // The accept was WAL-committed before the response left serve(), and
+  // the document's store section reads the store.
+  EXPECT_GE(st->wal_appends(), 1u);
+  EXPECT_EQ(stats_doc::counter(gw->stats_json(), "store", "wal_appends"), st->wal_appends());
 
   // Crash between accept and flush: gateway memory and store handle die;
   // the commit queue entry is gone for good.
@@ -1055,10 +1058,15 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   (void)gw->flush_accepted();
   EXPECT_EQ(dep->merchant().pending().size(), 1u);
 
-  // The stats dump mirrors the store counters.
-  const std::string json = gw->stats().to_json();
+  // The document's store section is read from the store.
+  const std::string json = gw->stats_json();
   EXPECT_NE(json.find("\"wal_appends\""), std::string::npos);
-  EXPECT_GE(gw->stats().store_wal_appends(), 2u);  // reserve + accept-commit
+  EXPECT_GE(st->wal_appends(), 2u);  // reserve + accept-commit
+  EXPECT_EQ(stats_doc::counter(json, "store", "wal_appends"), st->wal_appends());
+  EXPECT_EQ(stats_doc::counter(json, "store", "fsyncs"), st->wal_syncs());
+  EXPECT_EQ(stats_doc::counter(json, "store", "recovery_replayed_records"),
+            st->recovery().replayed_records);
+  EXPECT_EQ(stats_doc::counter(json, "store", "snapshot_bytes"), st->snapshot_bytes());
 
   gw.reset();
   st.reset();
@@ -1081,7 +1089,8 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   gw2->track_escrow(dep2->customer().escrow_id());
   gw2->attach_store(st2.get());
   ASSERT_TRUE(gw2->restore_from(image));
-  EXPECT_GE(gw2->stats().store_recovery_replayed(), 2u);
+  EXPECT_EQ(stats_doc::counter(gw2->stats_json(), "store", "recovery_replayed_records"),
+            st2->recovery().replayed_records);
 
   ASSERT_EQ(dep2->merchant().pending().size(), 1u);
   const auto& restored = dep2->merchant().pending()[0];
