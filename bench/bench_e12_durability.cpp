@@ -81,7 +81,7 @@ int main() {
 
   // ------------------------------------------------- append throughput
   // One reserve/release pair per iteration (the image stays tiny, so
-  // this measures the log, not apply_record), commit after every pair —
+  // this measures the log, not the image), commit after every pair —
   // the ack-time durability point the gateway pays on the serving path.
   struct PolicyRun {
     store::FsyncPolicy policy;

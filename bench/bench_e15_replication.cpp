@@ -63,7 +63,7 @@ store::StoreRecord release_rec(std::uint64_t rid) {
 
 /// One payment's WAL footprint, E12's idiom: a reserve/release pair per
 /// iteration keeps the live book tiny, so the numbers measure the log
-/// and the shipping protocol, not apply_record's book scan.
+/// and the shipping protocol, not the live book.
 bool append_pair(store::DurableStore& st, std::uint64_t i, std::uint64_t* seq_out) {
   if (!st.append(reserve_rec(i))) return false;
   const auto seq = st.append(release_rec(i));
@@ -128,21 +128,23 @@ struct Cluster {
 bool promoted_is_exact(store::DurableStore& primary, store::DurableStore& promoted,
                        std::uint64_t upto, std::uint64_t new_epoch,
                        const store::StoreRecord* post_failover_rec) {
-  store::StateImage want;
+  store::IndexedImage replay;
   const auto scan = primary.read_range(1, 1 << 22);
   if (!scan.ok() || scan.pruned) return false;
   for (const auto& wr : scan.records) {
     if (wr.seq > upto) break;
     const auto rec = store::StoreRecord::deserialize(wr.payload);
-    if (!rec || !store::apply_record(want, *rec, wr.seq)) return false;
+    if (!rec || !replay.apply(*rec, wr.seq)) return false;
   }
-  want.epoch = new_epoch;
   // The promoted log continues past the carried-over prefix with the
-  // kEpochChange record and any records accepted after the switch.
+  // kEpochChange record and any records accepted after the switch (a
+  // reserve, which does not depend on the epoch).
   if (post_failover_rec != nullptr &&
-      !store::apply_record(want, *post_failover_rec, promoted.last_committed_seq())) {
+      !replay.apply(*post_failover_rec, promoted.last_committed_seq())) {
     return false;
   }
+  store::StateImage want = replay.image();
+  want.epoch = new_epoch;
   want.last_seq = promoted.last_committed_seq();
   return promoted.image_copy().serialize() == want.serialize();
 }

@@ -39,10 +39,10 @@
 #                      Then build the asan and ubsan trees and run the
 #                      gateway tests plus the wire-decoder fuzz corpus
 #                      (BTCFAST_FUZZ_ITERS=2000) there, and build the tsan
-#                      tree and run the gateway, net, concurrency and psc
-#                      suites there (the default serving path is
-#                      concurrent: a Deployment sizes the verify pool to
-#                      the hardware).
+#                      tree and run the gateway, net, concurrency, psc
+#                      and thread-pool suites there (the default serving
+#                      path is concurrent: a Deployment sizes the verify
+#                      pool to the hardware).
 #   --store-smoke      the durability gate: run the full recovery + fault
 #                      suite (store_test) and the WAL/snapshot corruption
 #                      fuzz corpus (BTCFAST_FUZZ_ITERS=2000) under both
@@ -237,11 +237,11 @@ if [[ "$gateway_smoke" == 1 ]]; then
     BTCFAST_FUZZ_ITERS=2000 "build-$san/tests/fuzz_test" \
       --gtest_filter='*ParserFuzz*'
   done
-  echo "== gateway, net, concurrency and psc tests under tsan =="
+  echo "== gateway, net, concurrency, psc and thread-pool tests under tsan =="
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" \
-    --target gateway_test net_test concurrency_test psc_test
-  for t in gateway_test net_test concurrency_test psc_test; do
+    --target gateway_test net_test concurrency_test psc_test thread_pool_test
+  for t in gateway_test net_test concurrency_test psc_test thread_pool_test; do
     "build-tsan/tests/$t"
   done
   echo "== gateway smoke: clean =="

@@ -254,6 +254,7 @@ std::vector<psc::PscTx> MerchantService::accept_payment(FastPayPackage&& pkg, In
   }
 
   pending_.push_back(std::move(p));
+  ++active_pending_;
   // Broadcast through our own node so the network confirms it. The book
   // keeps its own copy (dispute evidence); the node's mempool and every
   // queued peer delivery share this one.
@@ -272,6 +273,7 @@ void MerchantService::restore_pending(const FastPayPackage& pkg, const Invoice& 
   // contract, not in this flag; leaving it false just means poll() won't
   // try to release a reservation this process can't prove it made.
   pending_.push_back(std::move(p));
+  ++active_pending_;
   if (invoice.invoice_id >= next_invoice_id_) next_invoice_id_ = invoice.invoice_id + 1;
 }
 
@@ -285,6 +287,7 @@ std::vector<psc::PscTx> MerchantService::poll(std::uint64_t now_ms) {
 
     if (!p.dispute_opened && conf >= config_.settle_confirmations) {
       p.settled = true;
+      --active_pending_;
       BTCFAST_LOG(LogLevel::kInfo, "merchant")
           << "payment " << b.btc_txid.to_string().substr(0, 12) << " settled (" << conf
           << " conf)";
@@ -368,10 +371,12 @@ std::vector<psc::PscTx> MerchantService::poll(std::uint64_t now_ms) {
         tx.args = encode_escrow_id_arg(b.escrow_id);
         actions.push_back(std::move(tx));
         p.judged = true;
+        --active_pending_;
       }
     } else if (escrow->state != EscrowState::kDisputed && p.dispute_active_seen) {
       // Dispute resolved (by our judge call or someone else's).
       p.judged = true;
+      --active_pending_;
       if (conf >= config_.settle_confirmations) p.settled = true;
     }
   }
@@ -387,12 +392,6 @@ std::size_t MerchantService::settled_count() const noexcept {
 std::size_t MerchantService::disputed_count() const noexcept {
   std::size_t n = 0;
   for (const auto& p : pending_) n += p.dispute_opened;
-  return n;
-}
-
-std::size_t MerchantService::active_pending_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& p : pending_) n += !p.settled && !p.judged;
   return n;
 }
 

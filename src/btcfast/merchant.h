@@ -172,8 +172,9 @@ class MerchantService {
   [[nodiscard]] psc::Value outstanding_exposure(EscrowId escrow) const;
 
   /// Accepted payments still unresolved (neither settled nor judged) —
-  /// the quantity Config::max_pending_payments bounds.
-  [[nodiscard]] std::size_t active_pending_count() const noexcept;
+  /// the quantity Config::max_pending_payments bounds. O(1): a counter
+  /// kept by accept_payment, restore_pending and poll.
+  [[nodiscard]] std::size_t active_pending_count() const noexcept { return active_pending_; }
 
   /// Current escrow record from the PSC chain (view call, no write).
   /// Public so the gateway's reconcile loop can refresh its reservation
@@ -186,6 +187,7 @@ class MerchantService {
   const psc::PscChain& psc_;
   Config config_;
   std::vector<PendingPayment> pending_;
+  std::size_t active_pending_ = 0;  ///< entries of pending_ neither settled nor judged
   std::uint64_t next_invoice_id_ = 1;
 };
 

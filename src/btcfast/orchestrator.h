@@ -75,9 +75,10 @@ struct DeploymentConfig {
   /// Worker threads for the verification engine (serve_batch's and
   /// evaluate_fastpay_batch's batch signature checks, flush_accepted's
   /// record encode, parallel evidence PoW hashing). Defaults to one
-  /// worker per hardware thread but the caller's
-  /// (ThreadPool::hardware_workers()), so the composed serving stack uses
-  /// every core. 0 = inline execution on the calling thread. Responses,
+  /// pinned worker per allowed CPU (ThreadPool::hardware_workers()), so
+  /// the composed serving stack uses every core; a pass never wakes the
+  /// worker on its caller's CPU. 0 = inline execution on the calling
+  /// thread. Responses,
   /// decisions and gas accounting are identical for every value; only
   /// wall-clock changes. Applied to the process-global pool at Deployment
   /// construction.

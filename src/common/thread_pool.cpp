@@ -1,37 +1,96 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <memory>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace btcfast::common {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+bool pin_to_cpu(std::thread& t, int cpu) {
+#if defined(__linux__)
+  if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  return pthread_setaffinity_np(t.native_handle(), sizeof(set), &set) == 0;
+#else
+  (void)t;
+  (void)cpu;
+  return false;
+#endif
+}
+
+namespace {
+
+int current_cpu() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+std::vector<int> placement(std::size_t threads) {
+  const std::vector<int> allowed = ThreadPool::allowed_cpus();
+  std::vector<int> cpus(threads, -1);
+  if (allowed.empty()) return cpus;
+  for (std::size_t i = 0; i < threads; ++i) cpus[i] = allowed[i % allowed.size()];
+  return cpus;
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(placement(threads)) {}
+
+ThreadPool::ThreadPool(const std::vector<int>& cpus) {
+  workers_.reserve(cpus.size());
+  for (const int cpu : cpus) {
+    auto w = std::make_unique<Worker>();
+    w->thread = std::thread([w = w.get()] { worker_loop(*w); });
+    if (pin_to_cpu(w->thread, cpu)) w->cpu = cpu;
+    workers_.push_back(std::move(w));
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
+  for (auto& w : workers_) {
+    {
+      std::lock_guard<std::mutex> lock(w->mutex);
+      w->stopping = true;
+    }
+    w->cv.notify_one();
   }
-  cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (auto& w : workers_) w->thread.join();
 }
 
-void ThreadPool::worker_loop() {
+std::vector<int> ThreadPool::worker_cpus() const {
+  std::vector<int> cpus;
+  cpus.reserve(workers_.size());
+  for (const auto& w : workers_) cpus.push_back(w->cpu);
+  return cpus;
+}
+
+void ThreadPool::post(Worker& w, std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(w.mutex);
+    w.queue.push(std::move(task));
+  }
+  w.cv.notify_one();
+}
+
+void ThreadPool::worker_loop(Worker& w) {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop();
+      std::unique_lock<std::mutex> lock(w.mutex);
+      w.cv.wait(lock, [&w] { return w.stopping || !w.queue.empty(); });
+      if (w.queue.empty()) return;  // stopping with a drained mailbox
+      task = std::move(w.queue.front());
+      w.queue.pop();
     }
     task();
   }
@@ -39,7 +98,24 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (workers_.empty() || n == 1) {
+  // Helpers go to the workers on other CPUs, starting after the caller's
+  // own worker so concurrent callers on different CPUs spread out. The
+  // caller's CPU already has a runnable thread: the caller, which drains
+  // too.
+  std::vector<Worker*> others;
+  if (n > 1 && !workers_.empty()) {
+    const int cpu = current_cpu();
+    const auto on_callers_cpu = [cpu](const Worker& w) { return cpu >= 0 && w.cpu == cpu; };
+    const std::size_t count = workers_.size();
+    std::size_t first = 0;
+    while (first < count && !on_callers_cpu(*workers_[first])) ++first;
+    others.reserve(count);
+    for (std::size_t k = 1; k <= count; ++k) {
+      Worker* w = workers_[(first + k) % count].get();
+      if (!on_callers_cpu(*w)) others.push_back(w);
+    }
+  }
+  if (others.empty()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -66,7 +142,7 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
   shared->n = n;
   // Claim indices in chunks so the atomic and the per-claim bookkeeping
   // amortize; cap the chunk so every participant still gets a share.
-  shared->chunk = std::max<std::size_t>(1, n / (4 * (workers_.size() + 1)));
+  shared->chunk = std::max<std::size_t>(1, n / (4 * (others.size() + 1)));
 
   auto drain = [](const std::shared_ptr<Shared>& s) {
     std::size_t completed = 0;
@@ -96,11 +172,13 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     }
   };
 
-  const std::size_t helpers = std::min(workers_.size(), (n - 1) / shared->chunk);
+  const std::size_t helpers = std::min(others.size(), (n - 1) / shared->chunk);
   std::vector<std::future<void>> joins;
   joins.reserve(helpers);
   for (std::size_t i = 0; i < helpers; ++i) {
-    joins.push_back(submit([shared, drain] { drain(shared); }));
+    auto task = std::make_shared<std::packaged_task<void()>>([shared, drain] { drain(shared); });
+    joins.push_back(task->get_future());
+    post(*others[i], [task] { (*task)(); });
   }
   drain(shared);  // the caller works too
 
@@ -130,8 +208,28 @@ std::unique_ptr<ThreadPool>& global_slot() {
 
 }  // namespace
 
+std::vector<int> ThreadPool::allowed_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+#endif
+  return cpus;
+}
+
 std::size_t ThreadPool::hardware_workers() noexcept {
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency()) - 1;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 ThreadPool& ThreadPool::global() { return *global_slot(); }

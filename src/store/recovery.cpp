@@ -79,12 +79,15 @@ std::unique_ptr<DurableStore> DurableStore::open(const std::string& dir, StoreOp
   std::sort(snapshot_seqs.begin(), snapshot_seqs.end());
   std::sort(segment_seqs.begin(), segment_seqs.end());
 
-  // Newest decodable snapshot wins; bit-rotted ones fall back to older.
+  // Newest decodable snapshot wins; bit-rotted ones (or one holding a key
+  // twice) fall back to older.
   RecoveryInfo rec;
   for (auto it = snapshot_seqs.rbegin(); it != snapshot_seqs.rend(); ++it) {
-    if (auto img = read_snapshot(store->snapshot_path(*it))) {
-      store->image_ = std::move(*img);
-      rec.snapshot_seq = store->image_.last_seq;
+    auto img = read_snapshot(store->snapshot_path(*it));
+    auto indexed = img ? IndexedImage::index(std::move(*img)) : std::nullopt;
+    if (indexed) {
+      store->image_ = std::move(*indexed);
+      rec.snapshot_seq = store->image_.image().last_seq;
       store->snapshot_bytes_ =
           static_cast<std::uint64_t>(fs::file_size(store->snapshot_path(*it), ec));
       break;
@@ -127,7 +130,7 @@ std::unique_ptr<DurableStore> DurableStore::open(const std::string& dir, StoreOp
       if (!decoded) {
         return fail("undecodable record at seq " + std::to_string(record.seq));
       }
-      if (!apply_record(store->image_, *decoded, record.seq)) {
+      if (!store->image_.apply(*decoded, record.seq)) {
         return fail("invalid transition at seq " + std::to_string(record.seq));
       }
       ++rec.replayed_records;
@@ -156,7 +159,7 @@ std::unique_ptr<DurableStore> DurableStore::open(const std::string& dir, StoreOp
 std::optional<std::uint64_t> DurableStore::append(const StoreRecord& record) {
   std::lock_guard lock(mu_);
   const std::uint64_t seq = wal_->next_seq();
-  if (!apply_record(image_, record, seq)) return std::nullopt;
+  if (!image_.apply(record, seq)) return std::nullopt;
   const std::uint64_t assigned = wal_->append(record.serialize());
   ++records_since_snapshot_;
   if (options_.snapshot_every > 0 && records_since_snapshot_ >= options_.snapshot_every) {
@@ -186,9 +189,9 @@ bool DurableStore::take_snapshot_locked() {
   // prune records the snapshot claims to contain but doesn't.
   if (!wal_->sync()) return false;
 
-  const std::uint64_t seq = image_.last_seq;
-  if (!write_snapshot(snapshot_path(seq), image_)) return false;
-  snapshot_bytes_ = static_cast<std::uint64_t>(encode_snapshot(image_).size());
+  const std::uint64_t seq = image_.image().last_seq;
+  if (!write_snapshot(snapshot_path(seq), image_.image())) return false;
+  snapshot_bytes_ = static_cast<std::uint64_t>(encode_snapshot(image_.image()).size());
   ++snapshots_taken_;
   records_since_snapshot_ = 0;
 
@@ -210,7 +213,7 @@ bool DurableStore::take_snapshot_locked() {
   wal_->set_commit_tap(tap_);
 
   // Prune: every segment except the new active one is fully covered by
-  // the snapshot (all its records have seq <= image_.last_seq), as are
+  // the snapshot (all its records have seq <= its last_seq), as are
   // all older snapshots.
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
@@ -228,7 +231,7 @@ bool DurableStore::take_snapshot_locked() {
 
 StateImage DurableStore::image_copy() const {
   std::lock_guard lock(mu_);
-  return image_;
+  return image_.image();
 }
 
 void DurableStore::set_commit_tap(CommitTap tap) {

@@ -91,7 +91,7 @@ class DurableStore {
 
   /// Append one event: serialize, frame into the WAL buffer, apply to
   /// the live image. Returns the assigned sequence number, or nullopt if
-  /// the record is an invalid transition (see apply_record) — in which
+  /// the record is an invalid transition (see IndexedImage::apply) — in which
   /// case nothing was logged.
   [[nodiscard]] std::optional<std::uint64_t> append(const StoreRecord& record);
 
@@ -150,7 +150,7 @@ class DurableStore {
   RecoveryInfo recovery_;
 
   mutable std::mutex mu_;
-  StateImage image_;
+  IndexedImage image_;
   std::unique_ptr<Wal> wal_;
   CommitTap tap_;  ///< kept so rotation re-installs it on the new Wal
   std::uint64_t active_segment_start_ = 1;

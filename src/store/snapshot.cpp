@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <string_view>
 
 #include "common/serialize.h"
 #include "store/crc32c.h"
@@ -160,11 +162,52 @@ std::optional<StateImage> StateImage::deserialize(ByteSpan data) {
   return img;
 }
 
-bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t seq) {
+std::size_t IndexedImage::KeyHash::operator()(const DisputeKey& k) const noexcept {
+  const std::string_view txid(reinterpret_cast<const char*>(k.txid.data()), k.txid.size());
+  return std::hash<std::string_view>{}(txid) ^ std::hash<EscrowId>{}(k.escrow_id);
+}
+
+std::size_t IndexedImage::KeyHash::operator()(const ByteArray<80>& header) const noexcept {
+  return std::hash<std::string_view>{}(
+      std::string_view(reinterpret_cast<const char*>(header.data()), header.size()));
+}
+
+template <typename Vec, typename Index, typename KeyOf>
+void IndexedImage::erase_at(Vec& vec, Index& at, std::size_t pos, KeyOf key_of) {
+  at.erase(key_of(vec[pos]));
+  if (pos + 1 != vec.size()) {
+    vec[pos] = std::move(vec.back());
+    at[key_of(vec[pos])] = pos;
+  }
+  vec.pop_back();
+}
+
+std::optional<IndexedImage> IndexedImage::index(StateImage image) {
+  IndexedImage out;
+  out.image_ = std::move(image);
+  const StateImage& img = out.image_;
+  for (std::size_t i = 0; i < img.reservations.size(); ++i) {
+    if (!out.reservation_at_.emplace(img.reservations[i].id, i).second) return std::nullopt;
+  }
+  for (std::size_t i = 0; i < img.accepted.size(); ++i) {
+    if (!out.accepted_at_.emplace(img.accepted[i].reservation_id, i).second) return std::nullopt;
+  }
+  for (std::size_t i = 0; i < img.open_disputes.size(); ++i) {
+    const DisputeImage& d = img.open_disputes[i];
+    if (!out.dispute_at_.emplace(DisputeKey{d.escrow_id, d.txid}, i).second) return std::nullopt;
+  }
+  for (const auto& h : img.headers) {
+    if (!out.headers_.insert(h).second) return std::nullopt;
+  }
+  return out;
+}
+
+bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
+  StateImage& image = image_;
   switch (record.kind) {
     case RecordKind::kReserve: {
-      for (const auto& r : image.reservations) {
-        if (r.id == record.reservation_id) return false;  // double reserve
+      if (!reservation_at_.emplace(record.reservation_id, image.reservations.size()).second) {
+        return false;  // double reserve
       }
       ReservationImage res;
       res.id = record.reservation_id;
@@ -176,23 +219,22 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       break;
     }
     case RecordKind::kRelease: {
-      auto it = std::find_if(
-          image.reservations.begin(), image.reservations.end(),
-          [&](const ReservationImage& r) { return r.id == record.reservation_id; });
-      if (it == image.reservations.end()) return false;  // release of unknown id
-      image.reservations.erase(it);
+      const auto it = reservation_at_.find(record.reservation_id);
+      if (it == reservation_at_.end()) return false;  // release of unknown id
+      erase_at(image.reservations, reservation_at_, it->second,
+               [](const ReservationImage& r) { return r.id; });
       // An accepted binding whose reservation resolved is settled/judged
       // history; drop it from the live book image too.
-      auto acc = std::find_if(
-          image.accepted.begin(), image.accepted.end(),
-          [&](const AcceptedImage& a) { return a.reservation_id == record.reservation_id; });
-      if (acc != image.accepted.end()) image.accepted.erase(acc);
+      if (const auto acc = accepted_at_.find(record.reservation_id); acc != accepted_at_.end()) {
+        erase_at(image.accepted, accepted_at_, acc->second,
+                 [](const AcceptedImage& a) { return a.reservation_id; });
+      }
       ++image.released_count;
       break;
     }
     case RecordKind::kAcceptCommit: {
-      for (const auto& a : image.accepted) {
-        if (a.reservation_id == record.reservation_id) return false;  // double commit
+      if (!accepted_at_.emplace(record.reservation_id, image.accepted.size()).second) {
+        return false;  // double commit
       }
       AcceptedImage acc;
       acc.reservation_id = record.reservation_id;
@@ -203,8 +245,10 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       break;
     }
     case RecordKind::kDisputeOpen: {
-      for (const auto& d : image.open_disputes) {
-        if (d.escrow_id == record.escrow_id && d.txid == record.txid) return false;
+      if (!dispute_at_.emplace(DisputeKey{record.escrow_id, record.txid},
+                               image.open_disputes.size())
+               .second) {
+        return false;  // dispute already open
       }
       DisputeImage dis;
       dis.escrow_id = record.escrow_id;
@@ -215,12 +259,10 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       break;
     }
     case RecordKind::kDisputeResolve: {
-      auto it = std::find_if(image.open_disputes.begin(), image.open_disputes.end(),
-                             [&](const DisputeImage& d) {
-                               return d.escrow_id == record.escrow_id && d.txid == record.txid;
-                             });
-      if (it == image.open_disputes.end()) return false;  // resolve of unopened dispute
-      image.open_disputes.erase(it);
+      const auto it = dispute_at_.find(DisputeKey{record.escrow_id, record.txid});
+      if (it == dispute_at_.end()) return false;  // resolve of unopened dispute
+      erase_at(image.open_disputes, dispute_at_, it->second,
+               [](const DisputeImage& d) { return DisputeKey{d.escrow_id, d.txid}; });
       ++image.resolved_disputes;
       break;
     }
@@ -232,9 +274,7 @@ bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t se
       break;
     }
     case RecordKind::kHeaderAccept: {
-      for (const auto& h : image.headers) {
-        if (h == record.header) return false;  // double-accept of a header
-      }
+      if (!headers_.insert(record.header).second) return false;  // double-accept of a header
       image.headers.push_back(record.header);
       break;
     }

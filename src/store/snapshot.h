@@ -14,6 +14,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "store/records.h"
@@ -54,9 +56,8 @@ struct DisputeImage {
   [[nodiscard]] bool operator==(const DisputeImage& o) const = default;
 };
 
-/// The full durable state at one WAL position. apply_record() is the
-/// single replay function — the live store and recovery both use it, so
-/// a recovered image can never diverge from the in-memory one.
+/// The full durable state at one WAL position. IndexedImage::apply() is
+/// the one way records change it.
 struct StateImage {
   std::uint64_t last_seq = 0;  ///< seq of the last applied record
   std::vector<ReservationImage> reservations;
@@ -81,11 +82,51 @@ struct StateImage {
   [[nodiscard]] bool operator==(const StateImage& o) const = default;
 };
 
-/// Apply one WAL record (payload already decoded) at sequence `seq`.
-/// Returns false on an impossible transition — double-reserve of an id,
-/// release of an unknown reservation, resolve of an unopened dispute —
-/// which recovery treats as corruption and fails closed on.
-[[nodiscard]] bool apply_record(StateImage& image, const StoreRecord& record, std::uint64_t seq);
+/// A StateImage with a key index beside it — reservation id, accepted
+/// reservation id, (escrow, txid) of an open dispute, header bytes — so
+/// apply() costs O(1) per record instead of a scan of the image. apply()
+/// is the single replay function: the live store and recovery both use
+/// it, so a recovered image can never diverge from the in-memory one.
+/// Removal moves the last entry into the hole, so the entry vectors are
+/// unordered; serialize() sorts them, so the bytes do not depend on it.
+class IndexedImage {
+ public:
+  IndexedImage() = default;
+  /// Index a loaded image (a decoded snapshot); nullopt when it holds a
+  /// key twice, which no sequence of valid records produces.
+  [[nodiscard]] static std::optional<IndexedImage> index(StateImage image);
+
+  /// Apply one WAL record (payload already decoded) at sequence `seq`.
+  /// Returns false, changing nothing, on an impossible transition —
+  /// double-reserve of an id, double commit, release of an unknown
+  /// reservation, resolve of an unopened dispute — which recovery treats
+  /// as corruption and fails closed on.
+  [[nodiscard]] bool apply(const StoreRecord& record, std::uint64_t seq);
+
+  [[nodiscard]] const StateImage& image() const noexcept { return image_; }
+
+ private:
+  struct DisputeKey {
+    EscrowId escrow_id = 0;
+    ByteArray<32> txid{};
+    [[nodiscard]] bool operator==(const DisputeKey& o) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const DisputeKey& k) const noexcept;
+    std::size_t operator()(const ByteArray<80>& header) const noexcept;
+  };
+
+  /// Remove vec[pos] by moving the last entry into its slot; `at` maps
+  /// each remaining entry's key to its new position.
+  template <typename Vec, typename Index, typename KeyOf>
+  static void erase_at(Vec& vec, Index& at, std::size_t pos, KeyOf key_of);
+
+  StateImage image_;
+  std::unordered_map<ReservationId, std::size_t> reservation_at_;
+  std::unordered_map<ReservationId, std::size_t> accepted_at_;
+  std::unordered_map<DisputeKey, std::size_t, KeyHash> dispute_at_;
+  std::unordered_set<ByteArray<80>, KeyHash> headers_;
+};
 
 [[nodiscard]] Bytes encode_snapshot(const StateImage& image);
 /// Total decoder: any single flipped or missing byte fails it.

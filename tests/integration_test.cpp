@@ -138,6 +138,64 @@ TEST(Integration, WrongfulDisputeLosesToCustomerProof) {
   EXPECT_GT(dep.merchant_node().chain().confirmations(r.txid), cfg.required_depth);
 }
 
+std::size_t scan_active_pending(const MerchantService& m) {
+  std::size_t n = 0;
+  for (const auto& p : m.pending()) n += !p.settled && !p.judged;
+  return n;
+}
+
+// active_pending_count() is a counter; every step of accept, settle,
+// dispute, judge and restore must leave it equal to a scan of the book.
+TEST(Integration, ActivePendingCountMatchesAScan) {
+  DeploymentConfig cfg;
+  cfg.seed = 21;
+  cfg.attacker_share = 0.6;  // the double spend lands: dispute, then judge
+  cfg.attacker_give_up_deficit = 50;
+  cfg.settle_confirmations = 6;
+  cfg.dispute_after_ms = 90 * 60 * 1000;
+  cfg.evidence_window_ms = 60 * 60 * 1000;
+  cfg.required_depth = 3;
+  Deployment dep(cfg);
+  MerchantService& m = dep.merchant();
+  EXPECT_EQ(m.active_pending_count(), 0u);
+
+  ASSERT_TRUE(dep.perform_fastpay(10 * btc::kCoin).accepted);
+  EXPECT_EQ(m.active_pending_count(), 1u);
+  EXPECT_EQ(m.active_pending_count(), scan_active_pending(m));
+  for (int step = 0; step < 48; ++step) {
+    dep.run_for(10 * 60 * 1000);
+    ASSERT_EQ(m.active_pending_count(), scan_active_pending(m)) << "step " << step;
+  }
+  ASSERT_EQ(m.pending().size(), 1u);
+  EXPECT_TRUE(m.pending()[0].judged);
+  EXPECT_EQ(m.active_pending_count(), 0u);
+
+  // A restored payment is unresolved again until poll() resolves it.
+  const MerchantService::PendingPayment judged = m.pending()[0];
+  m.restore_pending(judged.package, judged.invoice, judged.accepted_at_ms);
+  EXPECT_EQ(m.active_pending_count(), 1u);
+  EXPECT_EQ(m.active_pending_count(), scan_active_pending(m));
+
+  // Honest payments settle: accept raises the count, settling lowers it.
+  DeploymentConfig honest;
+  honest.seed = 9;
+  honest.settle_confirmations = 2;
+  honest.compensation = 500'000;
+  honest.funded_coins = 3;
+  Deployment dep2(honest);
+  MerchantService& m2 = dep2.merchant();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(dep2.perform_fastpay(5 * btc::kCoin).accepted) << "payment " << i;
+    EXPECT_EQ(m2.active_pending_count(), scan_active_pending(m2));
+    for (int step = 0; step < 6; ++step) {
+      dep2.run_for(10 * 60 * 1000);
+      ASSERT_EQ(m2.active_pending_count(), scan_active_pending(m2)) << "payment " << i;
+    }
+  }
+  EXPECT_EQ(m2.settled_count(), 3u);
+  EXPECT_EQ(m2.active_pending_count(), 0u);
+}
+
 TEST(Integration, EscrowWithdrawAfterQuietPeriod) {
   DeploymentConfig cfg;
   cfg.seed = 44;

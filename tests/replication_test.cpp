@@ -112,7 +112,7 @@ struct Rig {
 /// Rebuild the primary's state image at `upto` by replaying its WAL
 /// from sequence 1 — the byte-exact control for failover assertions.
 store::StateImage replay_primary_to(store::DurableStore& primary, std::uint64_t upto) {
-  store::StateImage img;
+  store::IndexedImage img;
   const auto scan = primary.read_range(1, 1 << 20);
   EXPECT_TRUE(scan.ok()) << scan.error;
   EXPECT_FALSE(scan.pruned) << "control replay needs the full WAL (snapshot_every=0)";
@@ -120,9 +120,9 @@ store::StateImage replay_primary_to(store::DurableStore& primary, std::uint64_t 
     if (wr.seq > upto) break;
     const auto rec = store::StoreRecord::deserialize(wr.payload);
     EXPECT_TRUE(rec.has_value());
-    EXPECT_TRUE(store::apply_record(img, *rec, wr.seq));
+    EXPECT_TRUE(img.apply(*rec, wr.seq));
   }
-  return img;
+  return img.image();
 }
 
 // ------------------------------------------------------------ shipping

@@ -513,46 +513,114 @@ TEST(Snapshot, AtomicWriteLeavesNoTempFiles) {
 }
 
 TEST(Snapshot, ApplyRecordRejectsImpossibleTransitions) {
-  StateImage img;
-  EXPECT_FALSE(apply_record(img, release_rec(5, ReleaseCause::kResolved), 1));  // unknown rid
-  EXPECT_TRUE(apply_record(img, reserve_rec(5, 1, 100), 1));
-  EXPECT_FALSE(apply_record(img, reserve_rec(5, 1, 100), 2));  // double reserve
-  EXPECT_TRUE(apply_record(img, accept_rec(5), 2));
-  EXPECT_FALSE(apply_record(img, accept_rec(5), 3));  // double commit
-  EXPECT_TRUE(apply_record(img, dispute_open_rec(1, 0x11), 3));
-  EXPECT_FALSE(apply_record(img, dispute_open_rec(1, 0x11), 4));     // dup dispute
-  EXPECT_FALSE(apply_record(img, dispute_resolve_rec(1, 0x22), 4));  // wrong txid
-  EXPECT_TRUE(apply_record(img, dispute_resolve_rec(1, 0x11), 4));
-  EXPECT_EQ(img.last_seq, 4u);
-  EXPECT_EQ(img.resolved_disputes, 1u);
+  IndexedImage img;
+  EXPECT_FALSE(img.apply(release_rec(5, ReleaseCause::kResolved), 1));  // unknown rid
+  EXPECT_TRUE(img.apply(reserve_rec(5, 1, 100), 1));
+  EXPECT_FALSE(img.apply(reserve_rec(5, 1, 100), 2));  // double reserve
+  EXPECT_TRUE(img.apply(accept_rec(5), 2));
+  EXPECT_FALSE(img.apply(accept_rec(5), 3));  // double commit
+  EXPECT_TRUE(img.apply(dispute_open_rec(1, 0x11), 3));
+  EXPECT_FALSE(img.apply(dispute_open_rec(1, 0x11), 4));     // dup dispute
+  EXPECT_FALSE(img.apply(dispute_resolve_rec(1, 0x22), 4));  // wrong txid
+  EXPECT_TRUE(img.apply(dispute_resolve_rec(1, 0x11), 4));
+  EXPECT_EQ(img.image().last_seq, 4u);
+  EXPECT_EQ(img.image().resolved_disputes, 1u);
   // Releasing an accepted reservation also retires the accepted entry.
-  EXPECT_TRUE(apply_record(img, release_rec(5, ReleaseCause::kResolved), 5));
-  EXPECT_TRUE(img.accepted.empty());
-  EXPECT_TRUE(img.reservations.empty());
+  EXPECT_TRUE(img.apply(release_rec(5, ReleaseCause::kResolved), 5));
+  EXPECT_TRUE(img.image().accepted.empty());
+  EXPECT_TRUE(img.image().reservations.empty());
 }
 
 TEST(Snapshot, EpochOnlyRatchetsUpAndHeadersStayUnique) {
-  StateImage img;
-  EXPECT_TRUE(apply_record(img, epoch_rec(2), 1));
-  EXPECT_EQ(img.epoch, 2u);
-  EXPECT_FALSE(apply_record(img, epoch_rec(2), 2));  // no re-entry
-  EXPECT_FALSE(apply_record(img, epoch_rec(1), 2));  // no regression
-  EXPECT_TRUE(apply_record(img, epoch_rec(5), 2));
-  EXPECT_EQ(img.epoch, 5u);
+  IndexedImage img;
+  EXPECT_TRUE(img.apply(epoch_rec(2), 1));
+  EXPECT_EQ(img.image().epoch, 2u);
+  EXPECT_FALSE(img.apply(epoch_rec(2), 2));  // no re-entry
+  EXPECT_FALSE(img.apply(epoch_rec(1), 2));  // no regression
+  EXPECT_TRUE(img.apply(epoch_rec(5), 2));
+  EXPECT_EQ(img.image().epoch, 5u);
 
-  EXPECT_TRUE(apply_record(img, header_rec(0x10), 3));
-  EXPECT_FALSE(apply_record(img, header_rec(0x10), 4));  // duplicate header
-  EXPECT_TRUE(apply_record(img, header_rec(0x20), 4));
-  ASSERT_EQ(img.headers.size(), 2u);
+  EXPECT_TRUE(img.apply(header_rec(0x10), 3));
+  EXPECT_FALSE(img.apply(header_rec(0x10), 4));  // duplicate header
+  EXPECT_TRUE(img.apply(header_rec(0x20), 4));
+  ASSERT_EQ(img.image().headers.size(), 2u);
 
   // Headers serialize in insertion order — the order is logical content
   // (restore re-accepts sequentially), unlike the sorted entry sections.
-  const auto back = StateImage::deserialize(img.serialize());
+  const auto back = StateImage::deserialize(img.image().serialize());
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->epoch, 5u);
   ASSERT_EQ(back->headers.size(), 2u);
-  EXPECT_EQ(back->headers[0], img.headers[0]);
-  EXPECT_EQ(back->headers[1], img.headers[1]);
+  EXPECT_EQ(back->headers[0], img.image().headers[0]);
+  EXPECT_EQ(back->headers[1], img.image().headers[1]);
+}
+
+/// A churning record sequence: 300 reservations, a third of them
+/// committed, half released in scattered order (removals from the middle
+/// of the image), released ids reserved again, disputes opened and
+/// resolved out of order, headers and epoch changes.
+std::vector<StoreRecord> churn_tape() {
+  std::vector<StoreRecord> tape;
+  constexpr ReservationId kN = 300;
+  for (ReservationId id = 1; id <= kN; ++id) {
+    tape.push_back(reserve_rec(id, id % 7 + 1, 1'000 + id));
+    if (id % 3 == 0) tape.push_back(accept_rec(id));
+    if (id % 50 == 0) tape.push_back(header_rec(static_cast<std::uint8_t>(id / 50)));
+  }
+  for (std::uint8_t k = 0; k < 20; ++k) tape.push_back(dispute_open_rec(k % 5 + 1, k));
+  tape.push_back(epoch_rec(1));
+  for (ReservationId k = 0; k < kN / 2; ++k) {
+    const ReservationId id = (k * 37) % kN + 1;  // 37 is coprime to 300: distinct ids
+    tape.push_back(release_rec(id, k % 2 == 0 ? ReleaseCause::kResolved : ReleaseCause::kExpired));
+    if (k % 10 == 0) tape.push_back(reserve_rec(id, 9, 77 + k));
+  }
+  for (int k = 19; k >= 0; k -= 2) {
+    tape.push_back(dispute_resolve_rec(static_cast<EscrowId>(k % 5 + 1), static_cast<std::uint8_t>(k)));
+  }
+  tape.push_back(epoch_rec(3));
+  return tape;
+}
+
+// The snapshot bytes of a churning sequence, pinned: removals reorder
+// the live image's entries, and the encoding must not show it. The pin
+// is the encoding the scan-and-erase replay produced for this sequence.
+constexpr std::size_t kPinnedChurnBytes = 12848;
+constexpr std::uint32_t kPinnedChurnCrc = 0x43639b5c;
+
+TEST(Snapshot, ChurnSequenceEncodesToPinnedBytes) {
+  const auto tape = churn_tape();
+  IndexedImage img;
+  std::uint64_t seq = 0;
+  for (const auto& rec : tape) ASSERT_TRUE(img.apply(rec, ++seq)) << "seq " << seq;
+  const Bytes enc = encode_snapshot(img.image());
+  EXPECT_EQ(enc.size(), kPinnedChurnBytes);
+  EXPECT_EQ(crc32c(enc), kPinnedChurnCrc);
+
+  // Impossible transitions still fail closed and change nothing.
+  EXPECT_FALSE(img.apply(reserve_rec(4, 1, 5), seq + 1));       // id 4 is live
+  EXPECT_FALSE(img.apply(accept_rec(9), seq + 1));               // already committed
+  EXPECT_FALSE(img.apply(release_rec(38, ReleaseCause::kResolved), seq + 1));  // released
+  EXPECT_FALSE(img.apply(dispute_resolve_rec(5, 19), seq + 1));  // resolved already
+  EXPECT_FALSE(img.apply(header_rec(1), seq + 1));               // accepted already
+  EXPECT_EQ(encode_snapshot(img.image()), enc);
+
+  // Recovery's path: a snapshot mid-way, re-indexed, then the suffix.
+  const std::size_t mid = tape.size() / 2;
+  IndexedImage head;
+  for (std::size_t i = 0; i < mid; ++i) ASSERT_TRUE(head.apply(tape[i], i + 1));
+  auto decoded = decode_snapshot(encode_snapshot(head.image()));
+  ASSERT_TRUE(decoded.has_value());
+  auto resumed = IndexedImage::index(std::move(*decoded));
+  ASSERT_TRUE(resumed.has_value());
+  for (std::size_t i = mid; i < tape.size(); ++i) ASSERT_TRUE(resumed->apply(tape[i], i + 1));
+  EXPECT_EQ(encode_snapshot(resumed->image()), enc);
+}
+
+TEST(Snapshot, IndexRefusesAnImageHoldingAKeyTwice) {
+  StateImage img = sample_image();
+  ASSERT_TRUE(IndexedImage::index(img).has_value());
+  img.reservations.push_back(img.reservations.front());
+  EXPECT_FALSE(IndexedImage::index(img).has_value());
 }
 
 // --------------------------------------------------------- durable store
@@ -593,10 +661,10 @@ TEST(DurableStoreTest, OpenEmptyAppendReopenReplays) {
   EXPECT_EQ(info.snapshot_seq, 0u);
   EXPECT_FALSE(info.truncated_tail);
 
-  StateImage control;
+  IndexedImage control;
   std::uint64_t seq = 0;
-  for (const auto& rec : event_tape()) ASSERT_TRUE(apply_record(control, rec, ++seq));
-  EXPECT_EQ(st->image_copy().serialize(), control.serialize());
+  for (const auto& rec : event_tape()) ASSERT_TRUE(control.apply(rec, ++seq));
+  EXPECT_EQ(st->image_copy().serialize(), control.image().serialize());
 
   // Sequence numbering resumes exactly where the replay ended.
   StoreRecord next = reserve_rec(0x404, 3, 10);
@@ -644,12 +712,12 @@ TEST(DurableStoreTest, RecoveryByteExactAtEveryCrashPoint) {
     RecoveryInfo info;
     auto st = DurableStore::open(dir, opts, &info);
     ASSERT_NE(st, nullptr) << "crash_at " << crash_at << ": " << info.error;
-    StateImage control;
+    IndexedImage control;
     std::uint64_t seq = 0;
     for (std::size_t i = 0; i < crash_at; ++i) {
-      ASSERT_TRUE(apply_record(control, tape[i], ++seq));
+      ASSERT_TRUE(control.apply(tape[i], ++seq));
     }
-    EXPECT_EQ(st->image_copy().serialize(), control.serialize()) << "crash_at " << crash_at;
+    EXPECT_EQ(st->image_copy().serialize(), control.image().serialize()) << "crash_at " << crash_at;
     st.reset();
     fs::remove_all(dir);
   }
@@ -689,12 +757,12 @@ TEST(DurableStoreTest, RecoveryFromEveryWalBytePrefix) {
     auto st = DurableStore::open(dir, opts, &info);
     ASSERT_NE(st, nullptr) << "cut " << cut << ": " << info.error;
     const auto scan = scan_wal({full.data(), cut}, 1);
-    StateImage control;
+    IndexedImage control;
     std::uint64_t seq = 0;
     for (std::size_t i = 0; i < scan.records.size(); ++i) {
-      ASSERT_TRUE(apply_record(control, tape[i], ++seq));
+      ASSERT_TRUE(control.apply(tape[i], ++seq));
     }
-    EXPECT_EQ(st->image_copy().serialize(), control.serialize()) << "cut " << cut;
+    EXPECT_EQ(st->image_copy().serialize(), control.image().serialize()) << "cut " << cut;
     EXPECT_EQ(info.replayed_records, scan.records.size());
   }
   fs::remove_all(ref_dir);
@@ -791,14 +859,14 @@ TEST(DurableStoreTest, SnapshotCompactsPrunesAndBoundsReplay) {
   StoreOptions opts;
   opts.policy = FsyncPolicy::kNone;
   opts.snapshot_every = 4;
-  StateImage control;
+  IndexedImage control;
   std::uint64_t seq = 0;
   {
     auto st = DurableStore::open(dir, opts);
     ASSERT_NE(st, nullptr);
     for (const auto& rec : event_tape()) {
       ASSERT_TRUE(st->append(rec).has_value());
-      ASSERT_TRUE(apply_record(control, rec, ++seq));
+      ASSERT_TRUE(control.apply(rec, ++seq));
     }
     ASSERT_TRUE(st->commit());
     EXPECT_GE(st->snapshots_taken(), 2u);  // every 4 of 10 records
@@ -819,7 +887,7 @@ TEST(DurableStoreTest, SnapshotCompactsPrunesAndBoundsReplay) {
   ASSERT_NE(st, nullptr) << info.error;
   EXPECT_EQ(info.snapshot_seq, 8u);        // last auto-snapshot at record 8
   EXPECT_EQ(info.replayed_records, 2u);    // only the suffix replays
-  EXPECT_EQ(st->image_copy().serialize(), control.serialize());
+  EXPECT_EQ(st->image_copy().serialize(), control.image().serialize());
   st.reset();
   fs::remove_all(dir);
 }

@@ -5,9 +5,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "btcfast/orchestrator.h"
 #include "common/rng.h"
@@ -264,12 +269,122 @@ TEST(BatchVerifyIntegration, MerchantDecisionsIdenticalAtOneAndNThreads) {
   }
 }
 
+// One worker per allowed CPU: the caller's CPU has a worker too, but
+// parallel_for never wakes it (the caller drains on that CPU itself).
 TEST(ThreadPool, HardwareWorkersLeaveTheCallersThread) {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  EXPECT_EQ(common::ThreadPool::hardware_workers(), hw - 1);
+  const auto allowed = common::ThreadPool::allowed_cpus();
+  const std::size_t expected =
+      allowed.empty() ? std::max(1u, std::thread::hardware_concurrency()) : allowed.size();
+  EXPECT_EQ(common::ThreadPool::hardware_workers(), expected);
   // A Deployment sizes the global pool from it by default.
   EXPECT_EQ(core::DeploymentConfig{}.verify_threads, common::ThreadPool::hardware_workers());
 }
+
+#if defined(__linux__)
+
+// Pins the calling thread for one scope and restores its mask on exit,
+// so later tests still read the full affinity mask.
+class PinCaller {
+ public:
+  explicit PinCaller(int cpu) {
+    CPU_ZERO(&saved_);
+    restore_ = sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    pinned_ = sched_setaffinity(0, sizeof(set), &set) == 0;
+  }
+  ~PinCaller() {
+    if (restore_) (void)sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinCaller(const PinCaller&) = delete;
+  PinCaller& operator=(const PinCaller&) = delete;
+  [[nodiscard]] bool pinned() const noexcept { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool restore_ = false;
+  bool pinned_ = false;
+};
+
+struct Ran {
+  std::thread::id thread;
+  int cpu = -1;
+};
+
+TEST(ThreadPool, EveryWorkerRunsOnItsOwnCpu) {
+  const auto allowed = common::ThreadPool::allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  common::ThreadPool pool(common::ThreadPool::hardware_workers());
+  EXPECT_EQ(pool.worker_cpus(), allowed);  // one worker per allowed CPU, in order
+  // submit() deals tasks to the workers in turn: one task per worker.
+  std::vector<std::future<Ran>> futs;
+  for (std::size_t i = 0; i < pool.thread_count(); ++i) {
+    futs.push_back(pool.submit([] { return Ran{std::this_thread::get_id(), sched_getcpu()}; }));
+  }
+  std::vector<std::thread::id> threads;
+  std::vector<int> cpus;
+  for (auto& f : futs) {
+    const Ran r = f.get();
+    threads.push_back(r.thread);
+    cpus.push_back(r.cpu);
+  }
+  EXPECT_EQ(cpus, allowed);
+  std::sort(threads.begin(), threads.end());
+  EXPECT_EQ(std::unique(threads.begin(), threads.end()), threads.end());  // distinct workers
+}
+
+TEST(ThreadPool, ParallelForSkipsTheWorkerOnTheCallersCpu) {
+  const auto allowed = common::ThreadPool::allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  common::ThreadPool pool(allowed.size());
+  // Items sleep so helpers get to claim some while the caller is busy: a
+  // helper woken on the caller's CPU would then run items there.
+  constexpr std::size_t kN = 256;
+  for (const int cpu : allowed) {
+    PinCaller pin(cpu);
+    ASSERT_TRUE(pin.pinned()) << "cpu " << cpu;
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::atomic<int>> counts(kN);
+    std::vector<Ran> ran(kN);
+    pool.parallel_for(kN, [&](std::size_t i) {
+      counts[i].fetch_add(1);
+      ran[i] = Ran{std::this_thread::get_id(), sched_getcpu()};
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(counts[i].load(), 1) << "index " << i << " caller cpu " << cpu;
+      // Pinned threads report their own CPU, so only the caller may run
+      // items on the caller's CPU.
+      if (ran[i].thread != caller) {
+        EXPECT_NE(ran[i].cpu, cpu) << "index " << i << " ran on the caller's worker";
+      } else {
+        EXPECT_EQ(ran[i].cpu, cpu);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, UnpinnableWorkersStillCoverEveryIndex) {
+  const auto allowed = common::ThreadPool::allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  // -1 and a CPU outside the mask both fail to pin; CPU_SETSIZE - 1 is
+  // outside it on any host this runs on.
+  common::ThreadPool pool(std::vector<int>{-1, CPU_SETSIZE - 1, -1});
+  EXPECT_EQ(pool.worker_cpus(), (std::vector<int>{-1, -1, -1}));
+  constexpr std::size_t kN = 1000;
+  for (const int cpu : allowed) {
+    PinCaller pin(cpu);
+    ASSERT_TRUE(pin.pinned()) << "cpu " << cpu;
+    std::vector<std::atomic<int>> counts(kN);
+    pool.parallel_for(kN, [&](std::size_t i) { counts[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(counts[i].load(), 1) << "index " << i << " caller cpu " << cpu;
+    }
+  }
+}
+
+#endif  // __linux__
 
 }  // namespace
 }  // namespace btcfast
