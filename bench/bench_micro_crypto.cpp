@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -362,22 +363,135 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
 
   // batch_verify across pool sizes: the cold batch's table builds and
   // GLV chains fan out per key / per job; the inversion stays serial.
+  // Interleaved min-of-reps, as the merkle rows: each rep times every
+  // pool size back to back, so a noisy spell hits all rows alike.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  bench::Table batch_threads({"pool threads", "batch cold us/verify", "scale vs inline"});
-  double inline_us = 0;
+  std::vector<unsigned> pool_sizes;
   for (const unsigned threads : {0u, 2u, 4u}) {
-    if (threads > hw) break;
-    common::ThreadPool pool(threads);
-    const double us = min_us_per_op(reps, n_batch, [&] {
-      benchmark::DoNotOptimize(batch_verify(pool, batch_cold, nullptr, nullptr));
-    });
-    if (threads == 0) inline_us = us;
-    batch_threads.row({bench::fmt_u(threads), bench::fmt(us, 1), bench::fmt(inline_us / us, 2)});
+    if (threads <= hw) pool_sizes.push_back(threads);
+  }
+  std::vector<std::unique_ptr<common::ThreadPool>> pools;
+  for (const unsigned threads : pool_sizes) {
+    pools.push_back(std::make_unique<common::ThreadPool>(threads));
+  }
+  std::vector<double> pool_us(pools.size(), 1e30);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t p = 0; p < pools.size(); ++p) {
+      pool_us[p] = std::min(pool_us[p], min_us_per_op(1, n_batch, [&] {
+        benchmark::DoNotOptimize(batch_verify(*pools[p], batch_cold, nullptr, nullptr));
+      }));
+    }
+  }
+  bench::Table batch_threads({"pool threads", "batch cold us/verify", "scale vs inline"});
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    batch_threads.row({bench::fmt_u(pool_sizes[p]), bench::fmt(pool_us[p], 1),
+                       bench::fmt(pool_us[0] / pool_us[p], 2)});
   }
   std::printf("\n# batch_verify over pool sizes (%llu distinct-key jobs per batch)\n\n",
               static_cast<unsigned long long>(n_batch));
   batch_threads.print();
   doc.add_table("batch_verify_threads", batch_threads);
+
+  // Batch equations: the same passes with and without R-parity hints.
+  // Cold = a serving window of first-time payers (155 keys × 2 sigs: the
+  // binding and the input share a key), hot = 4 repeat payers with
+  // resident tables. The cut-over rows walk small passes across
+  // kMinBatchEquationJobs; the wrong-bit row is the worst a submitter can
+  // force: one bad parity bit in every sub-batch, so every equation
+  // fails and its jobs are checked again one chain each.
+  const auto window = [](std::size_t keys, std::size_t per_key, std::uint64_t seed) {
+    std::vector<SigCheckJob> jobs;
+    for (std::size_t k = 0; k < keys; ++k) {
+      const auto key = *PrivateKey::from_scalar(U256(seed * 1000003 + k + 1));
+      const auto pub = PublicKey::derive(key).serialize();
+      for (std::size_t j = 0; j < per_key; ++j) {
+        SigCheckJob job;
+        job.digest = sha256(as_bytes("window-" + std::to_string(seed) + "-" + std::to_string(k) +
+                                     "-" + std::to_string(j)));
+        job.pubkey = pub;
+        bool odd = false;
+        job.sig = ecdsa_sign(key, job.digest, &odd).serialize();
+        job.r_parity = odd ? 1 : 0;
+        jobs.push_back(job);
+      }
+    }
+    return jobs;
+  };
+  const auto unhinted = [](std::vector<SigCheckJob> jobs) {
+    for (auto& j : jobs) j.r_parity = kNoRParity;
+    return jobs;
+  };
+  const std::size_t cold_keys = smoke ? 40 : 155;
+  const auto cold_window = window(cold_keys, 2, 31);
+  const auto cold_window_plain = unhinted(cold_window);
+  const auto hot_window = window(4, 26, 32);
+  const auto hot_window_plain = unhinted(hot_window);
+  PubkeyPrecompCache hot_pre(64);
+  for (int pass = 0; pass < 3; ++pass) (void)batch_verify(inline_pool, hot_window, nullptr, &hot_pre);
+  check(hot_pre.stats().insertions == 4);
+  common::ThreadPool& widest = *pools.back();
+  // One flipped bit in each of the first keys' first jobs: batch_verify
+  // gives each new key the lightest sub-batch, so key b lands in
+  // sub-batch b and every sub-batch gets one wrong bit.
+  auto cold_wrong_bit = cold_window;
+  for (std::size_t b = 0; b < std::max<std::size_t>(1, widest.thread_count()); ++b) {
+    cold_wrong_bit[2 * b].r_parity ^= 1;
+  }
+
+  struct HintRow {
+    std::string shape;
+    std::string pool;
+    common::ThreadPool* on;
+    const std::vector<SigCheckJob>* plain;
+    const std::vector<SigCheckJob>* hinted;
+    PubkeyPrecompCache* pre;
+    double us[2] = {1e30, 1e30};
+  };
+  std::vector<HintRow> rows;
+  const std::string cold_shape = std::to_string(cold_keys) + " keys x 2";
+  rows.push_back({"cold " + cold_shape, "inline", &inline_pool, &cold_window_plain, &cold_window,
+                  nullptr});
+  rows.push_back({"cold " + cold_shape, std::to_string(widest.thread_count()), &widest,
+                  &cold_window_plain, &cold_window, nullptr});
+  rows.push_back({"hot 4 keys x 26 (resident)", "inline", &inline_pool, &hot_window_plain,
+                  &hot_window, &hot_pre});
+  rows.push_back({"cold, 1 wrong bit per sub-batch", std::to_string(widest.thread_count()), &widest,
+                  &cold_window_plain, &cold_wrong_bit, nullptr});
+  std::vector<std::vector<SigCheckJob>> cut_jobs[2];
+  for (const std::size_t n : {kMinBatchEquationJobs / 2, kMinBatchEquationJobs,
+                              2 * kMinBatchEquationJobs, 4 * kMinBatchEquationJobs}) {
+    cut_jobs[1].push_back(window(n / 2, 2, 40 + n));
+    cut_jobs[0].push_back(unhinted(cut_jobs[1].back()));
+  }
+  for (std::size_t c = 0; c < cut_jobs[1].size(); ++c) {
+    rows.push_back({"cut-over: " + std::to_string(cut_jobs[1][c].size()) + " jobs", "inline",
+                    &inline_pool, &cut_jobs[0][c], &cut_jobs[1][c], nullptr});
+  }
+  for (int rep = 0; rep < reps; ++rep) {
+    for (auto& row : rows) {
+      for (int h = 0; h < 2; ++h) {
+        const auto& jobs = h == 0 ? *row.plain : *row.hinted;
+        row.us[h] = std::min(row.us[h], min_us_per_op(1, jobs.size(), [&] {
+          const auto ok = batch_verify(*row.on, jobs, nullptr, row.pre);
+          check(std::count(ok.begin(), ok.end(), 1) == static_cast<std::ptrdiff_t>(ok.size()));
+        }));
+      }
+    }
+  }
+  bench::Table hints({"window", "pool threads", "per-sig chains us/verify",
+                      "batch equations us/verify", "speedup"});
+  for (const auto& row : rows) {
+    hints.row({row.shape, row.pool, bench::fmt(row.us[0], 1), bench::fmt(row.us[1], 1),
+               bench::fmt(row.us[0] / row.us[1], 2)});
+  }
+  std::printf("\n# batch equations: hinted vs unhinted passes (min-of-reps, interleaved)\n\n");
+  hints.print();
+  doc.add_table("batch_equations", hints);
+  const double cold_equation_speedup = rows[0].us[0] / rows[0].us[1];
+  doc.set("verify_batch_equation_cold_us", rows[0].us[1]);
+  doc.set("verify_batch_equation_cold_speedup", cold_equation_speedup);
+  doc.set("verify_batch_equation_hot_speedup", rows[2].us[0] / rows[2].us[1]);
+  doc.set("verify_batch_equation_wrong_bit_speedup", rows[3].us[0] / rows[3].us[1]);
 
   if (!smoke) return sink;
 
@@ -388,9 +502,13 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   bool ok = sink;
   const double kColdFloor = 1.5;
   const double kWarmFloor = 2.0;
+  const double kEquationFloor = 1.2;
   std::printf("\n# verify-smoke: cold %.2fx (floor %.1f), warm %.2fx (floor %.1f)\n",
               cold_speedup, kColdFloor, warm_speedup, kWarmFloor);
+  std::printf("# verify-smoke: hinted cold window %.2fx its unhinted pass (floor %.1f)\n",
+              cold_equation_speedup, kEquationFloor);
   if (cold_speedup < kColdFloor || warm_speedup < kWarmFloor) ok = false;
+  if (cold_equation_speedup < kEquationFloor) ok = false;
   if (const char* budget_env = std::getenv("BTCFAST_VERIFY_BUDGET_US")) {
     const double budget = std::atof(budget_env);
     std::printf("# verify-smoke: cold %.1f us vs budget %.1f us\n", cold_us, budget);

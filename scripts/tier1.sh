@@ -75,7 +75,10 @@
 #                      (BTCFAST_VERIFY_SMOKE=1) in a scratch cwd and fail
 #                      if the GLV cold / warm-precomp paths fall under
 #                      their relative floors (1.5x / 2.0x vs the frozen
-#                      shamir baseline). Set BTCFAST_VERIFY_BUDGET_US to
+#                      shamir baseline), or if a cold serving window with
+#                      R-parity hints (batch equations) is not 1.2x its
+#                      unhinted per-signature pass in the same run. Set
+#                      BTCFAST_VERIFY_BUDGET_US to
 #                      additionally enforce an absolute cold-verify budget
 #                      in microseconds; without it, the absolute check
 #                      self-skips (wall-clock budgets are meaningless on
@@ -373,7 +376,8 @@ fi
 
 if [[ "$verify_smoke" == 1 ]]; then
   # The verify-speed gate: the GLV + precomp verify engine must hold its
-  # speedup over the frozen shamir baseline. Ratios are load-resilient
+  # speedup over the frozen shamir baseline, and hinted batch equations
+  # theirs over the per-signature pass. Ratios are load-resilient
   # (both sides run on the same machine in the same process), so they are
   # always enforced; the absolute microsecond budget only applies when
   # the caller pins one via BTCFAST_VERIFY_BUDGET_US.

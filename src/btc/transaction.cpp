@@ -157,12 +157,14 @@ crypto::Sha256Digest Transaction::signature_hash(std::size_t input_index,
   return crypto::sha256d(w.data());
 }
 
-void sign_input(Transaction& tx, std::size_t input_index, const crypto::PrivateKey& key,
+bool sign_input(Transaction& tx, std::size_t input_index, const crypto::PrivateKey& key,
                 const ScriptPubKey& spent_script) {
   const auto digest = tx.signature_hash(input_index, spent_script);
-  const auto sig = crypto::ecdsa_sign(key, digest);
+  bool r_odd = false;
+  const auto sig = crypto::ecdsa_sign(key, digest, &r_odd);
   tx.inputs[input_index].script_sig.signature = sig.serialize();
   tx.inputs[input_index].script_sig.pubkey = crypto::PublicKey::derive(key).serialize();
+  return r_odd;
 }
 
 bool verify_input(const Transaction& tx, std::size_t input_index,

@@ -92,7 +92,9 @@ struct Transaction {
 using TxRef = std::shared_ptr<const Transaction>;
 
 /// Signs input `input_index` of `tx` with `key`; fills in its scriptSig.
-void sign_input(Transaction& tx, std::size_t input_index, const crypto::PrivateKey& key,
+/// Returns the signature's R parity (crypto::ecdsa_sign's `r_odd`), the
+/// verify hint a fast-pay package carries for the input.
+bool sign_input(Transaction& tx, std::size_t input_index, const crypto::PrivateKey& key,
                 const ScriptPubKey& spent_script);
 
 /// Verifies the signature on input `input_index` against the spent output.

@@ -40,8 +40,9 @@ FastPayPackage CustomerWallet::create_fastpay(const Invoice& invoice, const btc:
                                               btc::Amount coin_value, std::uint64_t now_ms,
                                               std::uint64_t binding_ttl_ms) {
   FastPayPackage pkg;
-  pkg.payment_tx = sim::build_payment(btc_, coin, coin_value,
-                                      invoice.pay_to, invoice.amount_sat);
+  bool input_odd = false;
+  pkg.payment_tx = sim::build_payment(btc_, coin, coin_value, invoice.pay_to,
+                                      invoice.amount_sat, sim::kDefaultPaymentFee, &input_odd);
 
   PaymentBinding binding;
   binding.escrow_id = escrow_id_;
@@ -52,8 +53,10 @@ FastPayPackage CustomerWallet::create_fastpay(const Invoice& invoice, const btc:
   binding.nonce = next_nonce_++;
 
   pkg.binding.binding = binding;
-  const auto sig = crypto::ecdsa_sign(btc_.key, binding.signing_digest());
+  bool binding_odd = false;
+  const auto sig = crypto::ecdsa_sign(btc_.key, binding.signing_digest(), &binding_odd);
   pkg.binding.customer_sig = sig.serialize();
+  pkg.r_parity = {binding_odd, input_odd};
   return pkg;
 }
 

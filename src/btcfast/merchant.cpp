@@ -174,17 +174,21 @@ void MerchantService::collect_sig_checks(const FastPayPackage& pkg,
                                          std::vector<crypto::SigCheckJob>& out,
                                          SigJobIndex* at) const {
   if (at != nullptr) at->inputs.assign(pkg.payment_tx.inputs.size(), SigJobIndex::kNone);
+  // Signature k's R-parity hint: the binding's is k = 0, input i's k = 1 + i.
+  const auto hint = [&pkg](std::size_t k) {
+    return k < pkg.r_parity.size() ? pkg.r_parity[k] : crypto::kNoRParity;
+  };
   if (escrow) {
     if (at != nullptr) at->binding = out.size();
     out.push_back({pkg.binding.binding.signing_digest(), escrow->customer_btc_key,
-                   pkg.binding.customer_sig});
+                   pkg.binding.customer_sig, hint(0)});
   }
   for (std::size_t i = 0; i < pkg.payment_tx.inputs.size(); ++i) {
     const auto& in = pkg.payment_tx.inputs[i];
     if (const auto coin = btc_node_.chain().utxo().get(in.prevout)) {
       if (at != nullptr) at->inputs[i] = out.size();
       out.push_back({pkg.payment_tx.signature_hash(i, coin->out.script_pubkey),
-                     in.script_sig.pubkey, in.script_sig.signature});
+                     in.script_sig.pubkey, in.script_sig.signature, hint(1 + i)});
     }
   }
 }

@@ -143,6 +143,14 @@ Bytes FastPayPackage::serialize() const {
   Writer w;
   w.bytes_with_len(payment_tx.serialize());
   w.bytes_with_len(binding.serialize());
+  if (!r_parity.empty()) {
+    w.varint(r_parity.size());
+    Bytes packed((r_parity.size() + 7) / 8, 0);
+    for (std::size_t i = 0; i < r_parity.size(); ++i) {
+      packed[i / 8] |= static_cast<std::uint8_t>((r_parity[i] & 1) << (i % 8));
+    }
+    w.bytes(packed);
+  }
   return std::move(w).take();
 }
 
@@ -150,12 +158,29 @@ std::optional<FastPayPackage> FastPayPackage::deserialize(ByteSpan data) {
   Reader r(data);
   auto tx_bytes = r.bytes_with_len();
   auto binding_bytes = r.bytes_with_len(2048);
-  if (!tx_bytes || !binding_bytes || !r.at_end()) return std::nullopt;
+  if (!tx_bytes || !binding_bytes) return std::nullopt;
   auto tx = btc::Transaction::deserialize(*tx_bytes);
   auto binding = SignedBinding::deserialize(*binding_bytes);
   if (!tx || !binding) return std::nullopt;
   FastPayPackage out;
-  out.payment_tx = *tx;
+  if (!r.at_end()) {
+    // The hint field, in its one encoding: a minimal count of exactly one
+    // bit per signature, and no stray bits.
+    const std::size_t at = r.remaining();
+    const auto count = r.varint();
+    if (!count || *count != 1 + tx->inputs.size()) return std::nullopt;
+    Writer minimal;
+    minimal.varint(*count);
+    if (at - r.remaining() != minimal.size()) return std::nullopt;
+    const auto packed = r.span((*count + 7) / 8);
+    if (!packed || !r.at_end()) return std::nullopt;
+    if (*count % 8 != 0 && ((*packed)[packed->size() - 1] >> (*count % 8)) != 0) {
+      return std::nullopt;
+    }
+    out.r_parity.resize(*count);
+    for (std::size_t i = 0; i < *count; ++i) out.r_parity[i] = ((*packed)[i / 8] >> (i % 8)) & 1;
+  }
+  out.payment_tx = std::move(*tx);
   out.binding = *binding;
   return out;
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "btc/script.h"
 #include "btc/transaction.h"
@@ -68,9 +69,22 @@ struct Invoice {
 };
 
 /// The fast-pay message: everything the merchant needs to decide.
+///
+/// Wire layout: varint-length payment_tx, varint-length SignedBinding,
+/// then — only when `r_parity` is non-empty — a varint count equal to
+/// 1 + the number of inputs, followed by the bits packed LSB-first into
+/// ceil(count / 8) bytes whose unused high bits are zero. A package
+/// without the field is the pre-hint encoding and still decodes; a field
+/// of any other shape fails the decode.
 struct FastPayPackage {
   btc::Transaction payment_tx;
   SignedBinding binding;
+  /// Verify hints, one per signature: the y parity (0 or 1) of the
+  /// binding signature's effective nonce point R, then of each input's,
+  /// as crypto::ecdsa_sign reports it. Empty when the sender gave none.
+  /// The merchant lifts R from r with it to check a window's signatures
+  /// as one batch equation; a wrong bit costs time, never a verdict.
+  std::vector<std::uint8_t> r_parity;
 
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<FastPayPackage> deserialize(ByteSpan data);

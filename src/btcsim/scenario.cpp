@@ -101,13 +101,14 @@ std::vector<std::pair<btc::OutPoint, btc::Coin>> find_spendable(
 
 btc::Transaction build_payment(const Party& from, const btc::OutPoint& coin,
                                btc::Amount coin_value, const btc::ScriptPubKey& to,
-                               btc::Amount amount, btc::Amount fee) {
+                               btc::Amount amount, btc::Amount fee, bool* r_odd) {
   btc::Transaction tx;
   tx.inputs.push_back(btc::TxIn{coin, {}, 0xffffffff});
   tx.outputs.push_back(btc::TxOut{amount, to});
   const btc::Amount change = coin_value - amount - fee;
   if (change > 0) tx.outputs.push_back(btc::TxOut{change, from.script});
-  btc::sign_input(tx, 0, from.key, from.script);
+  const bool odd = btc::sign_input(tx, 0, from.key, from.script);
+  if (r_odd != nullptr) *r_odd = odd;
   return tx;
 }
 

@@ -37,11 +37,17 @@ void seed_node(Node& node, const std::vector<btc::Block>& blocks);
 [[nodiscard]] std::vector<std::pair<btc::OutPoint, btc::Coin>> find_spendable(
     const btc::Chain& chain, const btc::ScriptPubKey& script);
 
-/// Builds a signed 1-in/1-out (plus optional change) payment.
+/// build_payment's fee unless the caller names one.
+inline constexpr btc::Amount kDefaultPaymentFee = 1000;
+
+/// Builds a signed 1-in/1-out (plus optional change) payment. `r_odd`,
+/// when non-null, receives the input signature's R parity (see
+/// btc::sign_input).
 [[nodiscard]] btc::Transaction build_payment(const Party& from, const btc::OutPoint& coin,
                                              btc::Amount coin_value,
                                              const btc::ScriptPubKey& to, btc::Amount amount,
-                                             btc::Amount fee = 1000);
+                                             btc::Amount fee = kDefaultPaymentFee,
+                                             bool* r_odd = nullptr);
 
 /// End-to-end double-spend experiment on the full network simulator.
 struct DoubleSpendExperimentConfig {

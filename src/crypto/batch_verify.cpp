@@ -1,8 +1,10 @@
 #include "crypto/batch_verify.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <random>
 #include <unordered_map>
 
 #include "crypto/secp256k1.h"
@@ -33,6 +35,54 @@ struct PubkeyBytesHash {
     return h;
   }
 };
+
+/// The batch coefficients' secret: 32 bytes from the OS, drawn once per
+/// process. A submitter who cannot read it cannot predict a coefficient,
+/// so cannot craft invalid signatures whose errors cancel.
+const ByteArray<32>& coefficient_secret() {
+  static const ByteArray<32> secret = [] {
+    std::random_device os;
+    ByteArray<32> s{};
+    for (std::size_t i = 0; i < s.size(); i += 4) {
+      const std::uint32_t v = os();
+      std::memcpy(s.data() + i, &v, 4);
+    }
+    return s;
+  }();
+  return secret;
+}
+
+/// A sub-batch's coefficient seed: the secret hashed with every job the
+/// sub-batch holds, hints included.
+Sha256Digest coefficient_seed(const std::vector<SigCheckJob>& jobs,
+                              const std::vector<std::size_t>& pending,
+                              const std::vector<std::size_t>& members) {
+  Sha256 h;
+  const auto& secret = coefficient_secret();
+  h.update({secret.data(), secret.size()});
+  for (const std::size_t k : members) {
+    const SigCheckJob& j = jobs[pending[k]];
+    h.update({j.digest.data(), j.digest.size()});
+    h.update({j.pubkey.data(), j.pubkey.size()});
+    h.update({j.sig.data(), j.sig.size()});
+    h.update({&j.r_parity, 1});
+  }
+  return h.finalize();
+}
+
+/// The n-th coefficient of a sub-batch: 128 bits of SHA-256(seed ‖ n),
+/// forced odd so it is never 0.
+U256 coefficient(const Sha256Digest& seed, std::uint64_t n) {
+  std::uint8_t buf[40];
+  std::memcpy(buf, seed.data(), 32);
+  for (int b = 0; b < 8; ++b) buf[32 + b] = static_cast<std::uint8_t>(n >> (8 * b));
+  const Sha256Digest d = sha256({buf, sizeof(buf)});
+  U256 a;
+  std::memcpy(&a.w[0], d.data(), 8);
+  std::memcpy(&a.w[1], d.data() + 8, 8);
+  a.w[0] |= 1;
+  return a;
+}
 
 }  // namespace
 
@@ -135,16 +185,80 @@ std::vector<std::uint8_t> batch_verify(common::ThreadPool& pool,
     }
   }
 
-  // Pass 4 (parallel): the GLV chains — wide cached tables when warm,
-  // the per-batch shared-frame tables when cold.
-  pool.parallel_for(pending.size(), [&](std::size_t k) {
+  // Pass 4 (parallel): the curve work. `chain` is the per-signature
+  // check — a GLV chain against the wide cached tables when warm, the
+  // per-batch shared-frame tables when cold.
+  const auto chain = [&](std::size_t k) {
     const std::size_t i = pending[k];
     const KeyGroup& g = groups[job_group[i]];
     const bool ok = g.pre != nullptr
                         ? ecdsa_verify_prepared(jobs[i].digest, sigs[i], w[k], *g.pre)
                         : ecdsa_verify_prepared(jobs[i].digest, sigs[i], w[k], g.tables);
     results[i] = ok ? 1 : 0;
-  });
+  };
+  std::size_t hinted = 0;
+  for (const std::size_t i : pending) hinted += jobs[i].r_parity <= 1;
+  const std::size_t subs = std::max<std::size_t>(1, pool.thread_count());
+  if (hinted < subs * kMinBatchEquationJobs) {
+    pool.parallel_for(pending.size(), chain);
+  } else {
+    // One sub-batch per pool CPU. A key's jobs all go to one sub-batch
+    // (its table serves one equation), the lightest so far; an unhinted
+    // job weighs two, as its chain costs about two equation terms.
+    std::vector<std::vector<std::size_t>> of_group(groups.size());
+    for (std::size_t k = 0; k < pending.size(); ++k) of_group[job_group[pending[k]]].push_back(k);
+    std::vector<std::vector<std::size_t>> members(subs);
+    std::vector<std::size_t> load(subs, 0);
+    for (const auto& ks : of_group) {
+      if (ks.empty()) continue;
+      const std::size_t sb =
+          static_cast<std::size_t>(std::min_element(load.begin(), load.end()) - load.begin());
+      for (const std::size_t k : ks) {
+        members[sb].push_back(k);
+        load[sb] += jobs[pending[k]].r_parity <= 1 ? 1 : 2;
+      }
+    }
+    pool.parallel_for(subs, [&](std::size_t sb) {
+      const std::vector<std::size_t>& mine = members[sb];
+      const Sha256Digest seed = coefficient_seed(jobs, pending, mine);
+      U256 gsum = U256::zero();
+      std::vector<secp::BatchKeyTerm> keyterms;
+      std::vector<secp::BatchNonceTerm> nonces;
+      std::vector<std::size_t> in_equation;
+      std::uint32_t last_group = ~std::uint32_t{0};
+      for (std::size_t t = 0; t < mine.size(); ++t) {
+        const std::size_t k = mine[t];
+        const std::size_t i = pending[k];
+        const std::uint8_t hint = jobs[i].r_parity;
+        // Missing hints and r values no curve point has take the
+        // per-signature check. An R with x ≥ n (it lifts from r + n) lifts
+        // to a wrong point, fails the equation and is checked below.
+        const auto r = hint <= 1 ? secp::lift_x(sigs[i].r, hint == 1) : std::nullopt;
+        if (!r) {
+          chain(k);
+          continue;
+        }
+        KeyGroup& g = groups[job_group[i]];
+        if (job_group[i] != last_group) {  // a key's jobs are contiguous in `mine`
+          last_group = job_group[i];
+          keyterms.push_back({U256::zero(), g.pre.get(), g.pre != nullptr ? nullptr : &g.tables});
+        }
+        const U256 a = coefficient(seed, t);
+        const U256 z = secp::nreduce(U256::from_be_bytes({jobs[i].digest.data(), 32}));
+        gsum = secp::nadd(gsum, secp::nmul(a, secp::nmul(z, w[k])));
+        keyterms.back().c =
+            secp::nadd(keyterms.back().c, secp::nmul(a, secp::nmul(sigs[i].r, w[k])));
+        nonces.push_back({a, *r});
+        in_equation.push_back(k);
+      }
+      if (in_equation.empty()) return;
+      if (secp::batch_sum_is_identity(gsum, keyterms, nonces)) {
+        for (const std::size_t k : in_equation) results[pending[k]] = 1;
+      } else {
+        for (const std::size_t k : in_equation) chain(k);
+      }
+    });
+  }
 
   // Pass 5 (serial): publish cache state for the verified-valid jobs.
   for (const std::size_t i : pending) {

@@ -88,7 +88,7 @@ std::optional<Signature> Signature::parse(ByteSpan b) noexcept {
   return sig;
 }
 
-Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) noexcept {
+Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest, bool* r_odd) noexcept {
   const U256& n = secp::order_n();
   const U256 z = digest_to_scalar(digest);
 
@@ -100,7 +100,10 @@ Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) noexcept
       const U256 kinv = secp::ninv(k);
       U256 s = secp::nmul(kinv, secp::nadd(z, secp::nmul(r, key.scalar())));
       if (!s.is_zero()) {
-        if (s > secp::half_order()) s = n - s;  // low-s normalization
+        // Low-s normalization negates the effective nonce, and with it R.
+        const bool flip = s > secp::half_order();
+        if (flip) s = n - s;
+        if (r_odd != nullptr) *r_odd = rp.y.bit(0) != flip;
         return Signature{r, s};
       }
     }

@@ -56,8 +56,13 @@ struct Signature {
   [[nodiscard]] bool operator==(const Signature& o) const noexcept = default;
 };
 
-/// Sign a 32-byte message digest. Deterministic (RFC 6979), low-s.
-[[nodiscard]] Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) noexcept;
+/// Sign a 32-byte message digest. Deterministic (RFC 6979), low-s. When
+/// `r_odd` is non-null it receives the y parity of the signature's
+/// effective nonce point R (the point u1·G + u2·Q a verifier recomputes,
+/// so negated when low-s flipped s): a free by-product that lets a batch
+/// verifier lift R from r without trying both roots.
+[[nodiscard]] Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest,
+                                   bool* r_odd = nullptr) noexcept;
 
 /// Verify a signature over a 32-byte message digest.
 [[nodiscard]] bool ecdsa_verify(const PublicKey& key, const Sha256Digest& digest,

@@ -1,5 +1,6 @@
 #include "crypto/secp256k1.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -234,18 +235,6 @@ U256 reduce512_n(const U512& t) noexcept {
   return r;
 }
 
-/// a^e mod p with the fast field multiply.
-U256 fpow(const U256& a, const U256& e) noexcept {
-  U256 result = U256::one();
-  U256 base = a;
-  const int top = e.top_bit();
-  for (int i = 0; i <= top; ++i) {
-    if (e.bit(static_cast<unsigned>(i))) result = fmul(result, base);
-    base = fsqr(base);
-  }
-  return result;
-}
-
 AffinePoint make_generator() {
   AffinePoint g;
   g.infinity = false;
@@ -367,10 +356,35 @@ U256 finv(const U256& a) noexcept { return invmod_odd_var(a, kP); }
 
 U256 finv_baseline(const U256& a) noexcept { return invmod_odd(a, kP); }
 
+namespace {
+
+/// a^(2^k) — k squarings.
+inline U256 fsqr_n(U256 a, int k) noexcept {
+  while (k-- > 0) a = fsqr(a);
+  return a;
+}
+
+}  // namespace
+
 std::optional<U256> fsqrt(const U256& a) noexcept {
-  // p ≡ 3 (mod 4): candidate = a^((p+1)/4).
-  const U256 exponent = (kP + U256::one()) >> 2;
-  const U256 cand = fpow(a, exponent);
+  // p ≡ 3 (mod 4): candidate = a^((p+1)/4). The exponent's binary form is
+  // three runs of ones, of lengths 223, 22 and 2, so an addition chain
+  // builds x_k = a^(2^k − 1) for k in {2, 3, 6, 9, 11, 22, 44, 88, 176,
+  // 220, 223} and slides over the runs: 253 squarings and 13 multiplies.
+  const U256 x2 = fmul(fsqr(a), a);
+  const U256 x3 = fmul(fsqr(x2), a);
+  const U256 x6 = fmul(fsqr_n(x3, 3), x3);
+  const U256 x9 = fmul(fsqr_n(x6, 3), x3);
+  const U256 x11 = fmul(fsqr_n(x9, 2), x2);
+  const U256 x22 = fmul(fsqr_n(x11, 11), x11);
+  const U256 x44 = fmul(fsqr_n(x22, 22), x22);
+  const U256 x88 = fmul(fsqr_n(x44, 44), x44);
+  const U256 x176 = fmul(fsqr_n(x88, 88), x88);
+  const U256 x220 = fmul(fsqr_n(x176, 44), x44);
+  const U256 x223 = fmul(fsqr_n(x220, 3), x3);
+  U256 t = fmul(fsqr_n(x223, 23), x22);
+  t = fmul(fsqr_n(t, 6), x2);
+  const U256 cand = fsqr_n(t, 2);
   if (fsqr(cand) != a) return std::nullopt;
   return cand;
 }
@@ -454,23 +468,34 @@ JacobianPoint jadd_mixed(const JacobianPoint& a, const AffinePoint& b) noexcept 
 
 namespace {
 
-/// Batch Jacobian->affine normalization with one field inversion
-/// (Montgomery's trick): invert the product of all z's, then peel.
-std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) {
-  const std::size_t n = pts.size();
-  std::vector<AffinePoint> out(n);
-  std::vector<U256> prefix(n);
+/// Invert every element in place with one field inversion (Montgomery's
+/// trick): invert the product of all elements, then peel. Elements must
+/// be nonzero.
+void batch_finv(std::vector<U256>& v) {
+  if (v.empty()) return;
+  std::vector<U256> prefix(v.size());
   U256 acc = U256::one();
-  for (std::size_t i = 0; i < n; ++i) {
-    prefix[i] = acc;  // product of z_0..z_{i-1}
-    acc = fmul(acc, pts[i].z);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    prefix[i] = acc;  // product of v_0..v_{i-1}
+    acc = fmul(acc, v[i]);
   }
-  U256 inv_all = finv(acc);  // 1 / (z_0 * ... * z_{n-1})
-  for (std::size_t i = n; i-- > 0;) {
-    const U256 zinv = fmul(inv_all, prefix[i]);
-    inv_all = fmul(inv_all, pts[i].z);
-    const U256 zinv2 = fsqr(zinv);
-    out[i] = AffinePoint{fmul(pts[i].x, zinv2), fmul(pts[i].y, fmul(zinv2, zinv)), false};
+  U256 inv = finv(acc);
+  for (std::size_t i = v.size(); i-- > 0;) {
+    const U256 vi = fmul(inv, prefix[i]);
+    inv = fmul(inv, v[i]);
+    v[i] = vi;
+  }
+}
+
+/// Batch Jacobian->affine normalization with one field inversion.
+std::vector<AffinePoint> batch_to_affine(const std::vector<JacobianPoint>& pts) {
+  std::vector<U256> zinv(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) zinv[i] = pts[i].z;
+  batch_finv(zinv);
+  std::vector<AffinePoint> out(pts.size());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const U256 zinv2 = fsqr(zinv[i]);
+    out[i] = AffinePoint{fmul(pts[i].x, zinv2), fmul(pts[i].y, fmul(zinv2, zinv[i])), false};
   }
   return out;
 }
@@ -835,21 +860,23 @@ JacobianPoint glv_chain(const U256& u1, const U256& u2, const AffinePoint* qtab,
 
 }  // namespace
 
-void build_point_tables(const AffinePoint& p, PointTables& out) noexcept {
-  // Odd multiples 1P, 3P, ..., 31P via a co-Z ZADDU ladder (5M + 2S per
-  // entry instead of a full Jacobian add), then a global-Z rescale so the
-  // whole table shares one projective frame — no field inversion anywhere.
+namespace {
+
+/// Odd multiples 1P, 3P, ..., (2N−1)P by a co-Z ZADDU ladder (5M + 2S
+/// per entry instead of a full Jacobian add) — no field inversion. Entry
+/// i lands in its own projective frame: frame_0 is 2P's Jacobian Z (the
+/// return value) and frame_i = frame_{i−1}·h[i], so true affine x is
+/// x[i]/frame_i² and y is y[i]/frame_i³. h[0] is left unset.
+template <std::size_t N>
+U256 co_z_odd_multiples(const AffinePoint& p, U256 (&x)[N], U256 (&y)[N],
+                        U256 (&h)[N]) noexcept {
   const JacobianPoint d = jdouble(to_jacobian(p));  // 2P, z = 2y (never 0 on secp256k1)
   const U256 dzz = fsqr(d.z);
-  const U256 dzzz = fmul(dzz, d.z);
-  U256 x[kPointTableEntries];
-  U256 y[kPointTableEntries];
-  U256 h[kPointTableEntries];  // h[i] = frame_i / frame_{i-1}
   x[0] = fmul(p.x, dzz);  // P rescaled into 2P's frame
-  y[0] = fmul(p.y, dzzz);
+  y[0] = fmul(p.y, fmul(dzz, d.z));
   U256 bx = d.x;  // 2P, co-Z with the current odd multiple
   U256 by = d.y;
-  for (std::size_t i = 1; i < kPointTableEntries; ++i) {
+  for (std::size_t i = 1; i < N; ++i) {
     // ZADDU(P1 = 2P, P2 = (2i-1)P), both in frame_{i-1}: produces
     // (2i+1)P and 2P rescaled, co-Z in frame_i = frame_{i-1}·(X2-X1).
     const U256 dx = fsub(x[i - 1], bx);
@@ -865,6 +892,18 @@ void build_point_tables(const AffinePoint& p, PointTables& out) noexcept {
     bx = b;
     by = a1;
   }
+  return d.z;
+}
+
+}  // namespace
+
+void build_point_tables(const AffinePoint& p, PointTables& out) noexcept {
+  // The co-Z ladder's entries, then a global-Z rescale so the whole
+  // table shares one projective frame — no field inversion anywhere.
+  U256 x[kPointTableEntries];
+  U256 y[kPointTableEntries];
+  U256 h[kPointTableEntries];  // h[i] = frame_i / frame_{i-1}
+  const U256 z0 = co_z_odd_multiples(p, x, y, h);
   // Normalize every entry into the deepest frame (frame_15).
   out.q[kPointTableEntries - 1] = AffinePoint{x[kPointTableEntries - 1], y[kPointTableEntries - 1], false};
   U256 cprod = U256::one();
@@ -873,7 +912,7 @@ void build_point_tables(const AffinePoint& p, PointTables& out) noexcept {
     const U256 c2 = fsqr(cprod);
     out.q[i] = AffinePoint{fmul(x[i], c2), fmul(y[i], fmul(c2, cprod)), false};
   }
-  out.z = fmul(d.z, cprod);
+  out.z = fmul(z0, cprod);
   // λQ table: the endomorphism commutes with the frame scaling, so it is
   // still just the β·x map.
   for (std::size_t i = 0; i < kPointTableEntries; ++i) {
@@ -909,6 +948,150 @@ JacobianPoint double_scalar_mul_precomp(const U256& u1, const U256& u2,
   return glv_chain(u1, u2, pre.q, pre.lq, PubkeyPrecomp::kWidth, nullptr);
 }
 
+namespace {
+
+constexpr unsigned kWnafWidthNonce = 4;  // digits up to ±15: tables 1R, 3R, ..., 15R
+constexpr std::size_t kNonceTableEntries = std::size_t{1} << (kWnafWidthNonce - 1);
+constexpr std::size_t kMaxChainDigits = 140;  // ~129-bit GLV halves, 128-bit coefficients
+
+/// A nonce point's odd multiples, each in its own co-Z ladder frame until
+/// normalize_nonce_table maps them to true affine.
+struct NonceTable {
+  AffinePoint e[kNonceTableEntries];
+  U256 h[kNonceTableEntries];
+};
+
+/// Map each ladder entry to true affine, given 1/frame of the deepest
+/// entry: 1/frame_{i−1} = (1/frame_i)·h[i].
+void normalize_nonce_table(NonceTable& t, U256 zinv) noexcept {
+  for (std::size_t i = kNonceTableEntries; i-- > 0;) {
+    const U256 zi2 = fsqr(zinv);
+    t.e[i].x = fmul(t.e[i].x, zi2);
+    t.e[i].y = fmul(t.e[i].y, fmul(zi2, zinv));
+    t.e[i].infinity = false;
+    if (i > 0) zinv = fmul(zinv, t.h[i]);
+  }
+}
+
+/// One wNAF digit stream of the shared chain: digits over an odd-multiple
+/// table, `neg` negating every term.
+struct ChainStream {
+  const AffinePoint* table = nullptr;
+  bool neg = false;
+  int len = 0;
+  std::int16_t digit[kMaxChainDigits];
+};
+
+/// One nonzero digit's addition, bucketed by chain position.
+struct ChainAdd {
+  const AffinePoint* point;
+  bool neg;
+};
+
+}  // namespace
+
+bool batch_sum_is_identity(const U256& g, std::span<BatchKeyTerm> keys,
+                           std::span<const BatchNonceTerm> nonces) {
+  // Nonce tables and cold-key frames, normalized together: one field
+  // inversion for the whole equation.
+  const std::size_t m = nonces.size();
+  std::vector<NonceTable> rtab(m);
+  std::vector<U256> frames;
+  frames.reserve(m + keys.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    U256 x[kNonceTableEntries];
+    U256 y[kNonceTableEntries];
+    NonceTable& t = rtab[i];
+    U256 frame = co_z_odd_multiples(nonces[i].r, x, y, t.h);
+    for (std::size_t j = 0; j < kNonceTableEntries; ++j) {
+      t.e[j].x = x[j];
+      t.e[j].y = y[j];
+      if (j > 0) frame = fmul(frame, t.h[j]);
+    }
+    frames.push_back(frame);
+  }
+  for (const BatchKeyTerm& k : keys) {
+    if (k.pre == nullptr) frames.push_back(k.tables->z);
+  }
+  batch_finv(frames);
+  for (std::size_t i = 0; i < m; ++i) normalize_nonce_table(rtab[i], frames[i]);
+  std::size_t next_frame = m;
+  for (BatchKeyTerm& k : keys) {
+    if (k.pre != nullptr) continue;
+    PointTables& t = *k.tables;
+    const U256 zinv = frames[next_frame++];
+    const U256 zi2 = fsqr(zinv);
+    const U256 zi3 = fmul(zi2, zinv);
+    for (std::size_t j = 0; j < kPointTableEntries; ++j) {
+      t.q[j].x = fmul(t.q[j].x, zi2);
+      t.q[j].y = fmul(t.q[j].y, zi3);
+      t.lq[j].x = fmul(t.lq[j].x, zi2);
+      t.lq[j].y = t.q[j].y;
+    }
+    t.z = U256::one();
+  }
+
+  // Digit streams: G and λG for g, Q and λQ for each c_k (GLV halves),
+  // and one negated stream per 128-bit nonce coefficient.
+  std::vector<ChainStream> streams(2 + 2 * keys.size() + m);
+  std::size_t si = 0;
+  const auto add_split = [&](const U256& k, const AffinePoint* tab, const AffinePoint* ltab,
+                             unsigned width) {
+    const GlvSplit sp = glv_split(k);
+    ChainStream& a = streams[si++];
+    a.table = tab;
+    a.neg = sp.neg1;
+    a.len = wnaf_digits(a.digit, sp.k1, width);
+    ChainStream& b = streams[si++];
+    b.table = ltab;
+    b.neg = sp.neg2;
+    b.len = wnaf_digits(b.digit, sp.k2, width);
+  };
+  add_split(g, gen_odd_multiples().data(), gen_lambda_odd_multiples().data(), kWnafWidthGlvBase);
+  for (const BatchKeyTerm& k : keys) {
+    if (k.pre != nullptr) {
+      add_split(k.c, k.pre->q, k.pre->lq, PubkeyPrecomp::kWidth);
+    } else {
+      add_split(k.c, k.tables->q, k.tables->lq, kWnafWidthPoint);
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    ChainStream& st = streams[si++];
+    st.table = rtab[i].e;
+    st.neg = true;
+    st.len = wnaf_digits(st.digit, nonces[i].a, kWnafWidthNonce);
+  }
+
+  // Bucket every nonzero digit by position (counting sort), so the chain
+  // visits only the additions it makes.
+  std::uint32_t start[kMaxChainDigits + 1] = {};
+  int top = 0;
+  for (const ChainStream& st : streams) {
+    top = st.len > top ? st.len : top;
+    for (int p = 0; p < st.len; ++p) start[p + 1] += st.digit[p] != 0;
+  }
+  for (std::size_t p = 0; p < kMaxChainDigits; ++p) start[p + 1] += start[p];
+  std::vector<ChainAdd> adds(start[kMaxChainDigits]);
+  std::uint32_t fill[kMaxChainDigits];
+  std::copy(start, start + kMaxChainDigits, fill);
+  for (const ChainStream& st : streams) {
+    for (int p = 0; p < st.len; ++p) {
+      const int d = st.digit[p];
+      if (d == 0) continue;
+      adds[fill[p]++] = {&st.table[((d < 0 ? -d : d) - 1) / 2], (d < 0) != st.neg};
+    }
+  }
+
+  JacobianPoint acc = JacobianPoint::identity();
+  for (int p = top; p-- > 0;) {
+    jdouble_ip(acc);
+    for (std::uint32_t j = start[p]; j < start[p + 1]; ++j) {
+      jadd_mixed_ip(acc, adds[j].point->x, adds[j].point->y, adds[j].neg);
+    }
+  }
+  return acc.is_infinity();
+}
+
 bool on_curve(const AffinePoint& p) noexcept {
   if (p.infinity) return true;
   if (p.x >= kP || p.y >= kP) return false;
@@ -925,18 +1108,18 @@ ByteArray<33> compress(const AffinePoint& p) noexcept {
   return out;
 }
 
+std::optional<AffinePoint> lift_x(const U256& x, bool odd) noexcept {
+  if (x >= kP) return std::nullopt;
+  auto y = fsqrt(fadd(fmul(fsqr(x), x), U256(7)));
+  if (!y) return std::nullopt;
+  // y is never 0 (the curve has no point of order 2), so −y flips parity.
+  if (y->bit(0) != odd) y = fneg(*y);
+  return AffinePoint{x, *y, false};
+}
+
 std::optional<AffinePoint> decompress(ByteSpan bytes) noexcept {
   if (bytes.size() != 33 || (bytes[0] != 0x02 && bytes[0] != 0x03)) return std::nullopt;
-  const U256 x = U256::from_be_bytes(bytes.subspan(1));
-  if (x >= kP) return std::nullopt;
-  const U256 rhs = fadd(fmul(fsqr(x), x), U256(7));
-  auto y = fsqrt(rhs);
-  if (!y) return std::nullopt;
-  const bool want_odd = bytes[0] == 0x03;
-  if (y->bit(0) != want_odd) y = fneg(*y);
-  const AffinePoint p{x, *y, false};
-  if (!on_curve(p)) return std::nullopt;
-  return p;
+  return lift_x(U256::from_be_bytes(bytes.subspan(1)), bytes[0] == 0x03);
 }
 
 }  // namespace btcfast::crypto::secp

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "common/bytes.h"
 #include "crypto/uint256.h"
@@ -163,6 +164,33 @@ struct PubkeyPrecomp {
 /// build entirely and halves the Q-side additions (wNAF-7 vs wNAF-5).
 [[nodiscard]] JacobianPoint double_scalar_mul_precomp(const U256& u1, const U256& u2,
                                                       const PubkeyPrecomp& pre) noexcept;
+
+// --- randomized batch verification -------------------------------------
+
+/// One public key's term c·Q of a batch equation: resident wide tables
+/// (`pre`) or per-batch shared-frame tables (`tables`), exactly one set.
+/// batch_sum_is_identity normalizes `tables` in place to true affine
+/// (z = 1), which double_scalar_mul_tables still accepts.
+struct BatchKeyTerm {
+  U256 c;
+  const PubkeyPrecomp* pre = nullptr;
+  PointTables* tables = nullptr;
+};
+/// One nonce point's term a·R, with a < 2^128 and R on the curve.
+struct BatchNonceTerm {
+  U256 a;
+  AffinePoint r;
+};
+/// g·G + Σ c_k·Q_k − Σ a_i·R_i == O. Straus: every term's wNAF digits
+/// share one ~128-deep doubling chain (g and each c_k split by GLV), so a
+/// batch of signatures pays its doublings once; the nonce tables and the
+/// cold keys' frames are normalized with one field inversion.
+[[nodiscard]] bool batch_sum_is_identity(const U256& g, std::span<BatchKeyTerm> keys,
+                                         std::span<const BatchNonceTerm> nonces);
+
+/// The curve point with x-coordinate `x` and y parity `odd`; nullopt when
+/// x ≥ p or no curve point has that x.
+[[nodiscard]] std::optional<AffinePoint> lift_x(const U256& x, bool odd) noexcept;
 
 /// y² == x³ + 7 check.
 [[nodiscard]] bool on_curve(const AffinePoint& p) noexcept;

@@ -190,8 +190,9 @@ bool DurableStore::take_snapshot_locked() {
   if (!wal_->sync()) return false;
 
   const std::uint64_t seq = image_.image().last_seq;
-  if (!write_snapshot(snapshot_path(seq), image_.image())) return false;
-  snapshot_bytes_ = static_cast<std::uint64_t>(encode_snapshot(image_.image()).size());
+  const Bytes encoded = encode_snapshot(image_.image());
+  if (!write_snapshot(snapshot_path(seq), encoded)) return false;
+  snapshot_bytes_ = static_cast<std::uint64_t>(encoded.size());
   ++snapshots_taken_;
   records_since_snapshot_ = 0;
 

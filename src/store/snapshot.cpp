@@ -312,7 +312,10 @@ std::optional<StateImage> decode_snapshot(ByteSpan data) {
 }
 
 bool write_snapshot(const std::string& path, const StateImage& image) {
-  const Bytes encoded = encode_snapshot(image);
+  return write_snapshot(path, encode_snapshot(image));
+}
+
+bool write_snapshot(const std::string& path, ByteSpan encoded) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;

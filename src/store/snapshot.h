@@ -134,6 +134,8 @@ class IndexedImage {
 
 /// Write atomically: temp file in the same directory, fsync, rename.
 [[nodiscard]] bool write_snapshot(const std::string& path, const StateImage& image);
+/// Same, for bytes encode_snapshot already produced.
+[[nodiscard]] bool write_snapshot(const std::string& path, ByteSpan encoded);
 [[nodiscard]] std::optional<StateImage> read_snapshot(const std::string& path);
 
 }  // namespace btcfast::store

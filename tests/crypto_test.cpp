@@ -319,6 +319,46 @@ TEST(Secp256k1, FieldSqrtOfSquare) {
   EXPECT_TRUE(*root == v || *root == secp::fneg(v));
 }
 
+// a^((p+1)/4) by square-and-multiply over the exponent's bits: the
+// exponentiation fsqrt ran before its addition chain.
+U256 sqrt_candidate_by_bits(const U256& a) {
+  const U256 e = (secp::field_p() + U256::one()) >> 2;
+  U256 result = U256::one();
+  U256 base = a;
+  for (int i = 0; i <= e.top_bit(); ++i) {
+    if (e.bit(static_cast<unsigned>(i))) result = secp::fmul(result, base);
+    base = secp::fsqr(base);
+  }
+  return result;
+}
+
+TEST(Secp256k1, FieldSqrtChainMatchesTheBitwiseExponentiation) {
+  std::vector<U256> values = {U256::zero(), U256::one(), secp::field_p() - U256::one()};
+  for (int i = 0; i < 200; ++i) {
+    const auto h = sha256(as_bytes("fsqrt " + std::to_string(i)));
+    U256 v = U256::from_be_bytes({h.data(), h.size()});
+    if (v >= secp::field_p()) v = v - secp::field_p();
+    values.push_back(v);
+    values.push_back(secp::fsqr(v));  // a residue for certain
+  }
+  int residues = 0;
+  int non_residues = 0;
+  for (const U256& v : values) {
+    const U256 cand = sqrt_candidate_by_bits(v);
+    const bool residue = secp::fsqr(cand) == v;
+    const auto root = secp::fsqrt(v);
+    ASSERT_EQ(root.has_value(), residue) << v.to_hex();
+    if (root) {
+      EXPECT_EQ(*root, cand) << v.to_hex();
+    }
+    (residue ? residues : non_residues) += 1;
+  }
+  EXPECT_GT(residues, 200);
+  EXPECT_GT(non_residues, 50);  // p − 1 is one: p ≡ 3 (mod 4)
+  EXPECT_FALSE(secp::fsqrt(secp::field_p() - U256::one()).has_value());
+  EXPECT_EQ(secp::fsqrt(U256::zero()), U256::zero());
+}
+
 TEST(Ecdsa, PubkeyOfPrivkeyOneIsGenerator) {
   const auto key = PrivateKey::from_scalar(U256(1));
   ASSERT_TRUE(key.has_value());

@@ -140,6 +140,41 @@ TEST_P(ParserFuzz, BitFlippedValidMessagesHandled) {
   }
 }
 
+TEST_P(ParserFuzz, ParityFieldDecodesOnlyInCanonicalForm) {
+  // Random tails after a hint-free package: a decode that succeeds must
+  // hold one bit per signature and re-encode to the same bytes.
+  Rng rng(GetParam() * 59 + 11);
+  const sim::Party party = sim::Party::make(GetParam() + 90);
+  core::Invoice inv;
+  inv.amount_sat = btc::kCoin;
+  inv.compensation = 1000;
+  inv.pay_to = party.script;
+  inv.merchant_psc = psc::Address::from_label("m");
+  inv.expires_at_ms = 1000000;
+  core::CustomerWallet wallet(party, psc::Address::from_label("c"), 1);
+  btc::OutPoint coin;
+  coin.txid.bytes[0] = 0x17;
+  auto pkg = wallet.create_fastpay(inv, coin, 2 * btc::kCoin, 0, 1000000);
+  pkg.r_parity.clear();
+  const Bytes head = pkg.serialize();
+  int decoded = 0;
+  for (int i = 0; i < fuzz_iters(200); ++i) {
+    Bytes b = head;
+    const std::size_t len = rng.below(5);
+    for (std::size_t k = 0; k < len; ++k) {
+      // Small values half the time, so plausible counts and bit bytes occur.
+      b.push_back(static_cast<std::uint8_t>(rng.below(2) == 0 ? rng.below(4) : rng.below(256)));
+    }
+    if (auto parsed = core::FastPayPackage::deserialize(b)) {
+      ++decoded;
+      EXPECT_TRUE(parsed->r_parity.empty() ||
+                  parsed->r_parity.size() == 1 + parsed->payment_tx.inputs.size());
+      EXPECT_EQ(parsed->serialize(), b);
+    }
+  }
+  EXPECT_GT(decoded, 0);  // the hint-free tail (len 0) always decodes
+}
+
 TEST_P(ParserFuzz, BitFlippedValidGatewayFramesHandled) {
   Rng rng(GetParam() * 131 + 7);
   const sim::Party party = sim::Party::make(GetParam() + 50);

@@ -107,6 +107,69 @@ TEST(GatewayWire, SubmitFastPayRoundTrip) {
   EXPECT_EQ(back->package.payment_tx, req.package.payment_tx);
 }
 
+TEST(GatewayWire, FastPayPackageRoundTripsItsRParityHints) {
+  namespace secp = crypto::secp;
+  using crypto::U256;
+  const auto pkg = sample_package();
+  ASSERT_EQ(pkg.r_parity.size(), 1 + pkg.payment_tx.inputs.size());
+  const auto back = core::FastPayPackage::deserialize(pkg.serialize());
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->r_parity, pkg.r_parity);
+  EXPECT_EQ(back->binding, pkg.binding);
+  EXPECT_EQ(back->payment_tx, pkg.payment_tx);
+  // Each bit lifts its signature's r to the point a verifier recomputes.
+  const sim::Party party = sim::Party::make(77);
+  const auto check = [&](const ByteArray<64>& sig_bytes, const crypto::Sha256Digest& digest,
+                         std::uint8_t bit) {
+    const auto sig = *crypto::Signature::parse({sig_bytes.data(), sig_bytes.size()});
+    const U256 w = secp::ninv(sig.s);
+    const U256 z = secp::nreduce(U256::from_be_bytes({digest.data(), digest.size()}));
+    const auto r = secp::to_affine(secp::double_scalar_mul(
+        secp::nmul(z, w), secp::nmul(sig.r, w), party.pub.point()));
+    EXPECT_EQ(secp::lift_x(sig.r, bit == 1), r);
+  };
+  check(pkg.binding.customer_sig, pkg.binding.binding.signing_digest(), pkg.r_parity[0]);
+  check(pkg.payment_tx.inputs[0].script_sig.signature,
+        pkg.payment_tx.signature_hash(0, party.script), pkg.r_parity[1]);
+
+  // Without hints the package encodes exactly as before the field
+  // existed, and such an encoding decodes with none.
+  auto plain = pkg;
+  plain.r_parity.clear();
+  Writer w;
+  w.bytes_with_len(pkg.payment_tx.serialize());
+  w.bytes_with_len(pkg.binding.serialize());
+  EXPECT_EQ(plain.serialize(), w.data());
+  const auto old = core::FastPayPackage::deserialize(w.data());
+  ASSERT_TRUE(old.has_value());
+  EXPECT_TRUE(old->r_parity.empty());
+}
+
+TEST(GatewayWire, FastPayPackageParityFieldFailsClosed) {
+  auto plain = sample_package();
+  plain.r_parity.clear();
+  const Bytes head = plain.serialize();
+  const auto with = [&head](std::initializer_list<std::uint8_t> tail) {
+    Bytes b = head;
+    b.insert(b.end(), tail);
+    return core::FastPayPackage::deserialize(b);
+  };
+  // One input: exactly two bits, in one byte.
+  for (std::uint8_t bits = 0; bits < 4; ++bits) {
+    const auto ok = with({2, bits});
+    ASSERT_TRUE(ok.has_value()) << int{bits};
+    EXPECT_EQ(ok->r_parity, (std::vector<std::uint8_t>{std::uint8_t(bits & 1),
+                                                       std::uint8_t(bits >> 1)}));
+  }
+  EXPECT_FALSE(with({0}).has_value());           // a present field holds no bits
+  EXPECT_FALSE(with({1, 0}).has_value());        // fewer bits than signatures
+  EXPECT_FALSE(with({3, 0}).has_value());        // more bits than signatures
+  EXPECT_FALSE(with({2, 0x04}).has_value());     // a stray bit past the count
+  EXPECT_FALSE(with({2}).has_value());           // the bit byte is missing
+  EXPECT_FALSE(with({2, 0, 0}).has_value());     // trailing bytes
+  EXPECT_FALSE(with({0xfd, 2, 0, 0}).has_value());  // non-minimal count
+}
+
 TEST(GatewayWire, RequestAndResponseRoundTrips) {
   {
     QueryEscrowRequest q{42};

@@ -892,6 +892,32 @@ TEST(DurableStoreTest, SnapshotCompactsPrunesAndBoundsReplay) {
   fs::remove_all(dir);
 }
 
+TEST(DurableStoreTest, SnapshotBytesEqualTheNewestSnapshotFileSize) {
+  const std::string dir = scratch_dir("snapsize");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  opts.snapshot_every = 3;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  std::size_t checked = 0;
+  for (const auto& rec : event_tape()) {
+    const std::uint64_t taken = st->snapshots_taken();
+    ASSERT_TRUE(st->append(rec).has_value());
+    if (st->snapshots_taken() == taken) continue;
+    // Pruning leaves exactly the snapshot just taken.
+    std::vector<fs::path> snaps;
+    for (const auto& e : fs::directory_iterator(dir)) {
+      if (e.path().extension() == ".snap") snaps.push_back(e.path());
+    }
+    ASSERT_EQ(snaps.size(), 1u);
+    EXPECT_EQ(st->snapshot_bytes(), fs::file_size(snaps[0]));
+    ++checked;
+  }
+  EXPECT_GE(checked, 2u);
+  st.reset();
+  fs::remove_all(dir);
+}
+
 TEST(DurableStoreTest, ReadRangeCursorStreamsIdenticallyAndSurvivesStaleHints) {
   const std::string dir = scratch_dir("cursor");
   StoreOptions opts;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "common/thread_pool.h"
 #include "crypto/batch_verify.h"
 #include "crypto/ecdsa.h"
+#include "crypto/secp256k1.h"
 #include "crypto/sha256.h"
 #include "crypto/sigcache.h"
 
@@ -215,6 +217,190 @@ TEST(BatchVerify, PrecompCacheMatchesColdResultsAndWarmsUp) {
     EXPECT_EQ(warm, cold) << "threads " << threads;
     EXPECT_EQ(pre.stats().hits, 4u) << "threads " << threads;
   }
+}
+
+// --- batch equations: R-parity hints ------------------------------------
+
+// The same jobs with every hint dropped: batch_verify then runs one GLV
+// chain per signature, the reference the batch equations must match.
+std::vector<crypto::SigCheckJob> without_hints(std::vector<crypto::SigCheckJob> jobs) {
+  for (auto& j : jobs) j.r_parity = crypto::kNoRParity;
+  return jobs;
+}
+
+// A random mix over `key_count` keys: valid hinted jobs, bad s, wrong
+// digest, wrong parity bit, missing hint, unparseable key, an r no curve
+// point has (the lift fails), and duplicates of earlier jobs. Duplicates
+// are also returned in `warm` so a caller can make them cache hits.
+std::vector<crypto::SigCheckJob> make_mixed_jobs(std::size_t n, std::size_t key_count,
+                                                 std::uint64_t seed,
+                                                 std::vector<crypto::SigCheckJob>* warm) {
+  Rng rng(seed);
+  std::vector<crypto::PrivateKey> keys;
+  for (std::size_t k = 0; k < key_count; ++k) {
+    keys.push_back(*crypto::PrivateKey::from_scalar(crypto::U256(seed * 7919 + k + 1)));
+  }
+  std::vector<crypto::SigCheckJob> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t kind = rng.below(20);
+    if (kind == 0 && !jobs.empty()) {  // duplicate of an earlier job
+      jobs.push_back(jobs[rng.below(jobs.size())]);
+      if (warm != nullptr) warm->push_back(jobs.back());
+      continue;
+    }
+    const auto& key = keys[rng.below(keys.size())];
+    const auto msg = rng.bytes<32>();
+    crypto::SigCheckJob job;
+    job.digest = crypto::sha256({msg.data(), msg.size()});
+    job.pubkey = crypto::PublicKey::derive(key).serialize();
+    bool odd = false;
+    job.sig = crypto::ecdsa_sign(key, job.digest, &odd).serialize();
+    job.r_parity = odd ? 1 : 0;
+    switch (kind) {
+      case 1: job.sig[40] ^= 0x04; break;                      // bad s
+      case 2: job.digest[5] ^= 0x80; break;                    // wrong digest
+      case 3: job.r_parity ^= 1; break;                        // wrong parity bit
+      case 4: job.r_parity = crypto::kNoRParity; break;        // missing hint
+      case 5: job.pubkey[0] = 0x05; break;                     // unparseable key
+      case 6: {                                                // lift fails
+        crypto::U256 r = crypto::U256::from_be_bytes({job.sig.data(), 32});
+        while (crypto::secp::lift_x(r, false)) r = crypto::secp::nadd(r, crypto::U256::one());
+        const auto rb = r.to_be_bytes();
+        std::copy(rb.begin(), rb.end(), job.sig.begin());
+        break;
+      }
+      default: break;
+    }
+    jobs.push_back(job);
+  }
+  return jobs;
+}
+
+// Verdicts and final SigCache contents of one configuration, hinted vs
+// the per-signature reference, each from its own fresh caches.
+void expect_batch_matches_reference(common::ThreadPool& pool,
+                                    const std::vector<crypto::SigCheckJob>& jobs,
+                                    const std::vector<crypto::SigCheckJob>& warm,
+                                    bool with_precomp, const std::string& what) {
+  const auto reference_jobs = without_hints(jobs);
+  crypto::SigCache cache[2];
+  crypto::PubkeyPrecompCache pre[2];
+  std::vector<std::uint8_t> out[2];
+  for (int side = 0; side < 2; ++side) {
+    const auto& js = side == 0 ? reference_jobs : jobs;
+    crypto::PubkeyPrecompCache* p = with_precomp ? &pre[side] : nullptr;
+    (void)crypto::batch_verify(pool, warm, &cache[side], p);
+    if (with_precomp) {  // two more passes make the repeat keys resident
+      (void)crypto::batch_verify(pool, js, nullptr, p);
+      (void)crypto::batch_verify(pool, js, nullptr, p);
+    }
+    out[side] = crypto::batch_verify(pool, js, &cache[side], p);
+  }
+  ASSERT_EQ(out[1].size(), jobs.size()) << what;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto& j = jobs[i];
+    const auto pub = crypto::PublicKey::parse({j.pubkey.data(), j.pubkey.size()});
+    const auto sig = crypto::Signature::parse({j.sig.data(), j.sig.size()});
+    const bool valid = pub && sig && crypto::ecdsa_verify(*pub, j.digest, *sig);
+    ASSERT_EQ(out[0][i], valid ? 1 : 0) << what << " job " << i;
+    ASSERT_EQ(out[1][i], out[0][i]) << what << " job " << i;
+    const auto key = crypto::SigCache::make_key(j.digest, {j.pubkey.data(), j.pubkey.size()},
+                                                {j.sig.data(), j.sig.size()});
+    ASSERT_EQ(cache[1].contains(key), cache[0].contains(key)) << what << " job " << i;
+  }
+  EXPECT_EQ(cache[1].size(), cache[0].size()) << what;
+}
+
+TEST(BatchVerifyEquation, RandomMixesMatchThePerSignaturePath) {
+  const std::size_t sizes[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257, 400};
+  for (const std::size_t n : sizes) {
+    for (const std::size_t key_count : {std::size_t{4}, std::max<std::size_t>(1, n / 2)}) {
+      std::vector<crypto::SigCheckJob> warm;
+      const auto jobs = make_mixed_jobs(n, key_count, n * 31 + key_count, &warm);
+      for (const std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
+        common::ThreadPool pool(threads);
+        for (const bool with_precomp : {false, true}) {
+          expect_batch_matches_reference(
+              pool, jobs, warm, with_precomp,
+              "n " + std::to_string(n) + " keys " + std::to_string(key_count) + " threads " +
+                  std::to_string(threads) + (with_precomp ? " precomp" : ""));
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchVerifyEquation, SignReportsTheParityOfTheEffectiveNonce) {
+  // R = u1·G + u2·Q must be the point r lifts to with the reported
+  // parity, for signatures low-s left alone and ones it negated.
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const auto key = *crypto::PrivateKey::from_scalar(crypto::U256(i * 104729 + 3));
+    const auto digest = crypto::sha256(as_bytes("parity " + std::to_string(i)));
+    bool odd = false;
+    const auto sig = crypto::ecdsa_sign(key, digest, &odd);
+    EXPECT_EQ(crypto::ecdsa_sign(key, digest), sig);  // the out-parameter changes nothing
+    const crypto::U256 w = crypto::secp::ninv(sig.s);
+    const crypto::U256 z =
+        crypto::secp::nreduce(crypto::U256::from_be_bytes({digest.data(), digest.size()}));
+    const auto r = crypto::secp::to_affine(crypto::secp::double_scalar_mul(
+        crypto::secp::nmul(z, w), crypto::secp::nmul(sig.r, w),
+        crypto::PublicKey::derive(key).point()));
+    const auto lifted = crypto::secp::lift_x(sig.r, odd);
+    ASSERT_TRUE(lifted.has_value());
+    EXPECT_EQ(*lifted, r) << "signature " << i;
+  }
+}
+
+TEST(BatchVerifyEquation, ValidTermsSumToTheIdentityAndOneBadTermDoesNot) {
+  // Three keys, three signatures each: one key with resident wide
+  // tables, two with per-batch shared-frame tables.
+  namespace secp = crypto::secp;
+  std::vector<crypto::PrivateKey> keys;
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    keys.push_back(*crypto::PrivateKey::from_scalar(crypto::U256(k * 65537 + 11)));
+  }
+  const auto pre = secp::build_pubkey_precomp(crypto::PublicKey::derive(keys[0]).point());
+  secp::PointTables tables[2];
+  for (int t = 0; t < 2; ++t) {
+    secp::build_point_tables(crypto::PublicKey::derive(keys[1 + t]).point(), tables[t]);
+  }
+  const auto build = [&](std::vector<secp::BatchKeyTerm>& terms,
+                         std::vector<secp::BatchNonceTerm>& nonces, crypto::U256& g) {
+    terms = {{crypto::U256::zero(), &pre, nullptr},
+             {crypto::U256::zero(), nullptr, &tables[0]},
+             {crypto::U256::zero(), nullptr, &tables[1]}};
+    nonces.clear();
+    g = crypto::U256::zero();
+    for (std::uint64_t i = 0; i < 9; ++i) {
+      const auto digest = crypto::sha256(as_bytes("equation " + std::to_string(i)));
+      bool odd = false;
+      const auto sig = crypto::ecdsa_sign(keys[i % 3], digest, &odd);
+      const crypto::U256 w = secp::ninv(sig.s);
+      const crypto::U256 z =
+          secp::nreduce(crypto::U256::from_be_bytes({digest.data(), digest.size()}));
+      const crypto::U256 a(i * 0x9e3779b97f4a7c15ULL + 1);
+      g = secp::nadd(g, secp::nmul(a, secp::nmul(z, w)));
+      terms[i % 3].c = secp::nadd(terms[i % 3].c, secp::nmul(a, secp::nmul(sig.r, w)));
+      nonces.push_back({a, *secp::lift_x(sig.r, odd)});
+    }
+  };
+  std::vector<secp::BatchKeyTerm> terms;
+  std::vector<secp::BatchNonceTerm> nonces;
+  crypto::U256 g;
+  build(terms, nonces, g);
+  EXPECT_TRUE(secp::batch_sum_is_identity(g, terms, nonces));
+  // The cold tables are now true affine (z = 1) and still verify.
+  EXPECT_EQ(tables[0].z, crypto::U256::one());
+  build(terms, nonces, g);
+  EXPECT_TRUE(secp::batch_sum_is_identity(g, terms, nonces));
+  // −R in place of R: a wrong parity bit breaks the sum.
+  build(terms, nonces, g);
+  nonces[4].r.y = secp::fneg(nonces[4].r.y);
+  EXPECT_FALSE(secp::batch_sum_is_identity(g, terms, nonces));
+  // A wrong coefficient on one key's side breaks it too.
+  build(terms, nonces, g);
+  terms[2].c = secp::nadd(terms[2].c, crypto::U256::one());
+  EXPECT_FALSE(secp::batch_sum_is_identity(g, terms, nonces));
 }
 
 // --- 1-vs-N integration: identical merchant outcomes --------------------
