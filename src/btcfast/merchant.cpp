@@ -279,6 +279,7 @@ void MerchantService::restore_pending(const FastPayPackage& pkg, const Invoice& 
   pending_.push_back(std::move(p));
   ++active_pending_;
   if (invoice.invoice_id >= next_invoice_id_) next_invoice_id_ = invoice.invoice_id + 1;
+  btc_node_.receive_tx(std::make_shared<const btc::Transaction>(pkg.payment_tx));
 }
 
 std::vector<psc::PscTx> MerchantService::poll(std::uint64_t now_ms) {

@@ -152,11 +152,13 @@ class MerchantService {
   [[nodiscard]] std::vector<psc::PscTx> poll(std::uint64_t now_ms);
 
   /// Reinstall an accepted payment recovered from the durable store
-  /// after a crash: book-only — no BTC rebroadcast (the tx was already
-  /// on the network pre-crash) and no fresh reservePayment; poll()'s
-  /// settle/dispute machinery picks the payment up from here. Also bumps
-  /// the invoice-id counter past the restored invoice so new invoices
-  /// never collide with recovered ones.
+  /// after a crash, and hand its tx to the merchant's BTC node: the
+  /// accept was durable before its response, so the crash may have come
+  /// before the broadcast. The node refuses a tx it already knows or one
+  /// that conflicts with its chain, as for any tx. No fresh
+  /// reservePayment; poll()'s settle/dispute machinery picks the payment
+  /// up from here. Also bumps the invoice-id counter past the restored
+  /// invoice so new invoices never collide with recovered ones.
   void restore_pending(const FastPayPackage& pkg, const Invoice& invoice,
                        std::uint64_t accepted_at_ms);
 

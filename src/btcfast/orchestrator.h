@@ -72,9 +72,9 @@ struct DeploymentConfig {
   /// scenario fuzzer lowers it to afford hundreds of deployments per run.
   btc::ChainParams params = btc::ChainParams::regtest();
 
-  /// Worker threads for the verification engine (serve_batch's and
-  /// evaluate_fastpay_batch's batch signature checks, flush_accepted's
-  /// record encode, parallel evidence PoW hashing). Defaults to one
+  /// Worker threads for the verification engine (serve_batch's decode
+  /// and batch signature checks, evaluate_fastpay_batch's, parallel
+  /// evidence PoW hashing). Defaults to one
   /// pinned worker per allowed CPU (ThreadPool::hardware_workers()), so
   /// the composed serving stack uses every core; a pass never wakes the
   /// worker on its caller's CPU. 0 = inline execution on the calling

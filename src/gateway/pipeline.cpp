@@ -61,7 +61,7 @@ Gateway::Gateway(core::MerchantService& merchant, common::ThreadPool& pool, Gate
   config_.shards = n;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_.ledger_stripes, reservation_ids_));
+    shards_.push_back(std::make_unique<Shard>(reservation_ids_));
   }
   receipt_cap_ =
       config_.max_receipts == 0 ? 0 : std::max<std::size_t>(1, config_.max_receipts / n);
@@ -81,14 +81,23 @@ bool Gateway::restore_from(const store::StateImage& image) {
     std::lock_guard lock(tracked_mu_);
     tracked_.insert(r.escrow_id);
   }
-  for (const auto& a : image.accepted) {
-    const auto pkg = core::FastPayPackage::deserialize(a.package);
-    const auto inv = core::Invoice::deserialize(a.invoice);
+  // Book the accepts in grant order, which reservation ids follow: the
+  // image's own order depends on whether it came from a snapshot (sorted)
+  // or from replay (a removal moves the last entry into the hole).
+  std::vector<const store::AcceptedImage*> accepted;
+  accepted.reserve(image.accepted.size());
+  for (const auto& a : image.accepted) accepted.push_back(&a);
+  std::sort(accepted.begin(), accepted.end(), [](const auto* a, const auto* b) {
+    return a->reservation_id < b->reservation_id;
+  });
+  for (const auto* a : accepted) {
+    const auto pkg = core::FastPayPackage::deserialize(a->package);
+    const auto inv = core::Invoice::deserialize(a->invoice);
     if (!pkg || !inv) {
       ok = false;
       continue;
     }
-    merchant_.restore_pending(*pkg, *inv, a.accepted_at_ms);
+    merchant_.restore_pending(*pkg, *inv, a->accepted_at_ms);
     std::lock_guard lock(tracked_mu_);
     tracked_.insert(pkg->binding.binding.escrow_id);
   }
@@ -331,11 +340,24 @@ Bytes Gateway::handle_submit(Decoded& d, const core::PassVerdicts* pass, std::ui
     return reject(deny, std::string("reservation denied: ") + core::describe(deny));
   }
 
-  // Stage: durability. The reservation hits the WAL before the accept
-  // response exists — a crash after the commit recovers with the
-  // collateral still held, so the acked binding stays covered. The
-  // record is only appended here; commit_batch commits and quorum-gates
-  // the whole batch before any of its responses is built.
+  // Book claim. The merchant's book is bounded by claiming a slot on
+  // the queued-accepts counter before anything is logged —
+  // racing accepts across shards cannot overshoot max_pending_payments,
+  // no cross-shard lock is taken, and a refusal writes nothing.
+  const std::size_t limit = merchant_.config().max_pending_payments;
+  const std::size_t claimed = queued_accepts_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (limit > 0 && merchant_.active_pending_count() + claimed > limit) {
+    queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
+    (void)sh.ledger.release(*rid);
+    return reject(RejectReason::kPendingLimit, "merchant pending-payment limit reached");
+  }
+
+  // Stage: durability. The accept's one record — the hold and the
+  // evidence the merchant disputes with: the package as the frame carried
+  // it and the invoice — hits the WAL before the accept response exists,
+  // so a crash after the commit recovers both the collateral hold and the
+  // book entry. The record is only appended here; commit_batch commits
+  // and quorum-gates the whole batch before any of its responses is built.
   std::uint64_t wal_us = 0;
   if (store_ != nullptr) {
     store::StoreRecord rec;
@@ -345,8 +367,12 @@ Bytes Gateway::handle_submit(Decoded& d, const core::PassVerdicts* pass, std::ui
     rec.amount = b.compensation;
     rec.expires_at_ms = b.expiry_ms;
     rec.txid = b.btc_txid.bytes;
+    rec.accepted_at_ms = now_ms;
+    rec.package = std::move(req->package_bytes);
+    rec.invoice = invoice->serialize();
     const auto seq = store_->append(rec);
     if (!seq) {
+      queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
       (void)sh.ledger.release(*rid);
       return reject(RejectReason::kOverloaded, "durable store commit failed");
     }
@@ -355,24 +381,6 @@ Bytes Gateway::handle_submit(Decoded& d, const core::PassVerdicts* pass, std::ui
     stage_start = Clock::now();
   }
 
-  // Stage: commit handoff. The merchant's book is bounded by claiming a
-  // slot on the queued-accepts counter before the queue push — racing
-  // accepts across shards cannot overshoot max_pending_payments, and no
-  // cross-shard lock is taken.
-  const std::size_t limit = merchant_.config().max_pending_payments;
-  const std::size_t claimed = queued_accepts_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  if (limit > 0 && merchant_.active_pending_count() + claimed > limit) {
-    queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
-    (void)sh.ledger.release(*rid);
-    if (store_ != nullptr) {
-      store::StoreRecord rec;
-      rec.kind = store::RecordKind::kRelease;
-      rec.reservation_id = *rid;
-      rec.cause = store::ReleaseCause::kRejected;
-      if (const auto seq = store_->append(rec)) batch.last_seq = std::max(batch.last_seq, *seq);
-    }
-    return reject(RejectReason::kPendingLimit, "merchant pending-payment limit reached");
-  }
   Accepted a;
   a.package = std::move(req->package);
   a.invoice = *invoice;
@@ -522,14 +530,13 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
 
 bool Gateway::commit_batch(BatchCommit& batch, std::vector<Bytes>& out, std::uint64_t now_ms) {
   // One group commit and one quorum round for every accept of the batch
-  // (a release that a denied claim logged needs the commit only).
+  // (only accepts append records, so a batch with a record holds one).
   const auto t0 = Clock::now();
   bool committed = true;
   bool quorum = true;
   if (store_ != nullptr && batch.last_seq != 0) {
     committed = store_->commit();
-    quorum = committed && (batch.accepts.empty() || gate_ == nullptr ||
-                           gate_->quorum_commit(batch.last_seq, now_ms));
+    quorum = committed && (gate_ == nullptr || gate_->quorum_commit(batch.last_seq, now_ms));
   }
   if (!quorum) {
     const char* why = committed ? "replication quorum unreachable" : "durable store commit failed";
@@ -589,9 +596,11 @@ bool Gateway::commit_batch(BatchCommit& batch, std::vector<Bytes>& out, std::uin
   return true;
 }
 
-std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
+std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t /*now_ms*/) {
   // Seal the epoch: swap out every shard's queue. Items accepted after
-  // this point land in the next epoch.
+  // this point land in the next epoch. Every accept in it is already
+  // durable — its one WAL record was committed and quorum-gated before
+  // its response — so the flush only applies.
   std::vector<std::vector<Accepted>> epoch(shards_.size());
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -600,52 +609,6 @@ std::vector<psc::PscTx> Gateway::flush_accepted(std::uint64_t now_ms) {
     total += epoch[i].size();
   }
   if (total > 0) queued_accepts_.fetch_sub(total, std::memory_order_acq_rel);
-
-  // The epoch drains through the WAL first: the accepted bindings are
-  // group-committed before any merchant bookkeeping or BTC broadcast, so
-  // a crash mid-flush recovers with every binding it committed to — and
-  // none it didn't. Record encoding (package/invoice serialization) is
-  // the expensive part, so it fans across the pool; the appends and the
-  // single fsync stay sequential, preserving the byte layout a
-  // single-threaded flush would write.
-  if (store_ != nullptr && total > 0) {
-    std::vector<store::StoreRecord> records(total);
-    std::vector<const Accepted*> flat;
-    flat.reserve(total);
-    for (const auto& q : epoch) {
-      for (const auto& a : q) flat.push_back(&a);
-    }
-    pool_.parallel_for(flat.size(), [&](std::size_t i) {
-      const Accepted& a = *flat[i];
-      store::StoreRecord& rec = records[i];
-      rec.kind = store::RecordKind::kAcceptCommit;
-      rec.reservation_id = a.reservation_id;
-      rec.accepted_at_ms = a.now_ms;
-      rec.package = a.package.serialize();
-      rec.invoice = a.invoice.serialize();
-    });
-    for (auto& rec : records) (void)store_->append(rec);
-    (void)store_->commit();
-    // Replication gate on the epoch: merchant bookkeeping and the BTC
-    // broadcast stay held back until a quorum of followers durably hold
-    // every accept record. On failure the sealed epoch is re-queued
-    // intact (front of each shard's queue, original order) and retried
-    // by the next flush — the local WAL already has the records, so the
-    // re-flush appends nothing new.
-    if (gate_ != nullptr && !gate_->quorum_commit(store_->last_committed_seq(), now_ms)) {
-      std::size_t requeued = 0;
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
-        if (epoch[i].empty()) continue;
-        requeued += epoch[i].size();
-        std::lock_guard lock(shards_[i]->commit_mu);
-        shards_[i]->commit_queue.insert(shards_[i]->commit_queue.begin(),
-                                        std::make_move_iterator(epoch[i].begin()),
-                                        std::make_move_iterator(epoch[i].end()));
-      }
-      queued_accepts_.fetch_add(requeued, std::memory_order_acq_rel);
-      return {};
-    }
-  }
 
   // Apply merchant bookkeeping deterministically: shard order, then
   // queue order. The merchant book and BTC broadcast are not

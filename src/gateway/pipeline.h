@@ -17,9 +17,12 @@
 //     -> reserve (ReservationLedger::try_reserve on the shard's ledger,
 //        keyed by the payment's txid — the per-escrow serialization
 //        point; two racing fast-pays cannot overcommit one escrow, and
-//        two copies of one payment cannot both hold)
-//     -> wal (reserve record appended; one commit + quorum round covers
-//        the whole batch — a serve() is a batch of one)
+//        two copies of one payment cannot both hold; then a slot in the
+//        merchant's bounded book)
+//     -> wal (the accept's one record appended: the hold plus the package
+//        bytes and invoice the merchant disputes with; one commit +
+//        quorum round covers the whole batch — a serve() is a batch of
+//        one)
 //     -> respond (+ queue the accept on the shard for epoch flush)
 //
 // Reservation ids draw from one gateway-wide counter and embed the
@@ -33,7 +36,9 @@
 // gateway-wide fetch lock). Mutation (merchant bookkeeping, BTC
 // broadcast, PSC txs) is deferred: accepted packages land in per-shard
 // commit queues that the control thread drains with flush_accepted() —
-// one sealed epoch, one group-commit fsync, then deterministic apply.
+// one sealed epoch applied in deterministic order. The flush writes
+// nothing durable: each accept's record was committed before its
+// response, so a crash before the flush loses no accept a client saw.
 // reconcile() (also control-thread) refreshes escrow views from the
 // contract each PSC block, releases reservations for settled/judged
 // payments, and expires stale ones.
@@ -79,8 +84,6 @@ struct GatewayConfig {
   /// escrow pays it. Concurrent deployments that want zero locking on
   /// the hot path still pre-register via track_escrow.
   bool lazy_escrow_fetch = false;
-  /// Reservation-ledger lock stripes per shard.
-  std::size_t ledger_stripes = 16;
   /// Escrow-affinity pipeline shards (clamped to [1, 64]). Each shard
   /// owns its ledger stripes, commit queue, receipt cache and stats;
   /// responses are byte-identical for any value.
@@ -123,26 +126,26 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Attach a durable store: from here on every granted reservation is
-  /// WAL-committed before its accept response leaves serve() or
-  /// serve_batch(), and
-  /// flush_accepted() drains the commit queues through the WAL before
-  /// running merchant bookkeeping. Pass nullptr to detach. The store
-  /// outlives the gateway's use of it (not owned).
+  /// Attach a durable store: from here on every accept — its
+  /// reservation, package and invoice, in one record — is WAL-committed
+  /// before its response leaves serve() or serve_batch(). Recovery
+  /// (restore_from) rebuilds both the ledger and the merchant book from
+  /// those records. Pass nullptr to detach. The store outlives the
+  /// gateway's use of it (not owned).
   void attach_store(store::DurableStore* store);
 
   /// Attach a replication commit gate (store::CommitGate, implemented by
-  /// replication::ReplicationGroup): after the local WAL commit, a
-  /// reservation is acked only once the gate confirms a quorum of
-  /// followers durably hold it, and flush_accepted() epochs are held
-  /// back (re-queued) until their records reach quorum. Pass nullptr to
-  /// detach. No-op without an attached store.
+  /// replication::ReplicationGroup): after the local WAL commit, an
+  /// accept is acked only once the gate confirms a quorum of followers
+  /// durably hold its record. Pass nullptr to detach. No-op without an
+  /// attached store.
   void attach_commit_gate(store::CommitGate* gate) noexcept { gate_ = gate; }
 
   /// Rebuild gateway state from a recovered image (fresh gateway,
   /// control thread): reservations back into the owning shard's ledger,
-  /// accepted bindings back into the merchant book and the
-  /// settle-release map. Reservation ids are geometry-independent, so
+  /// accepted payments back into the merchant book in reservation-id
+  /// (grant) order, each handed to the merchant's BTC node in case it was
+  /// never broadcast. Reservation ids are geometry-independent, so
   /// the shard/stripe counts need not match the writer's. Returns false
   /// if any entry fails to decode or re-install — recovery then must not
   /// be trusted.
@@ -180,16 +183,12 @@ class Gateway {
                                                std::uint64_t now_ms);
 
   /// Drain every shard's commit queue as one epoch (control thread
-  /// only): seal the queues, encode the accept records in parallel on
-  /// the pool, group-commit them through the WAL with a single fsync,
-  /// then apply merchant bookkeeping + BTC broadcast deterministically
-  /// (shard order, then queue order). Returns the PSC transactions the
-  /// caller must submit (reserved mode).
-  /// With a commit gate attached, the epoch's records must additionally
-  /// reach replication quorum before any merchant bookkeeping runs — a
-  /// quorum failure re-queues the sealed epoch intact for the next
-  /// flush. `now_ms` feeds the gate's retry clock (0 reuses the latest
-  /// time the gate has seen).
+  /// only): seal the queues, then apply merchant bookkeeping + BTC
+  /// broadcast deterministically (shard order, then queue order). It
+  /// touches neither the store nor the gate: every accept it applies was
+  /// durable, at quorum, before its response. Returns the PSC
+  /// transactions the caller must submit (reserved mode). `now_ms` is
+  /// unused.
   [[nodiscard]] std::vector<psc::PscTx> flush_accepted(std::uint64_t now_ms = 0);
 
   /// Control-thread sync point, run on each new PSC block: refresh every
@@ -270,7 +269,8 @@ class Gateway {
   /// caches (sharded), the in-flight counter and the reservation-id
   /// counter (atomic).
   struct Shard {
-    Shard(std::size_t stripes, std::atomic<ReservationId>& ids) : ledger(stripes, &ids) {}
+    explicit Shard(std::atomic<ReservationId>& ids)
+        : ledger(ReservationLedger::kDefaultStripes, &ids) {}
 
     ReservationLedger ledger;
     GatewayStats stats;

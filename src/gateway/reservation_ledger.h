@@ -54,12 +54,14 @@ class ReservationLedger {
     std::size_t live_reservations = 0;
   };
 
+  static constexpr std::size_t kDefaultStripes = 16;
+
   /// `shared_ids`, when non-null, is the reservation-id counter to draw
   /// from instead of a private one. The sharded gateway points every
   /// shard's ledger at one process-wide counter so the ids it hands out
   /// are independent of shard count — a 4-shard gateway serving a frame
   /// sequence produces byte-identical responses to a 1-shard gateway.
-  explicit ReservationLedger(std::size_t stripes = 16,
+  explicit ReservationLedger(std::size_t stripes = kDefaultStripes,
                              std::atomic<ReservationId>* shared_ids = nullptr);
 
   ReservationLedger(const ReservationLedger&) = delete;

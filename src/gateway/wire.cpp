@@ -77,6 +77,7 @@ std::optional<SubmitFastPayRequest> SubmitFastPayRequest::deserialize(ByteSpan d
   SubmitFastPayRequest out;
   out.invoice_id = *invoice;
   out.package = std::move(*pkg);
+  out.package_bytes = std::move(*pkg_bytes);
   return out;
 }
 

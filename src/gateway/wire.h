@@ -59,6 +59,10 @@ struct Frame {
 struct SubmitFastPayRequest {
   std::uint64_t invoice_id = 0;
   core::FastPayPackage package;
+  /// The package's encoding as the frame carried it, kept by
+  /// deserialize() for the accept's WAL record; serialize() encodes
+  /// `package` and ignores it.
+  Bytes package_bytes;
 
   [[nodiscard]] Bytes serialize() const;
   [[nodiscard]] static std::optional<SubmitFastPayRequest> deserialize(ByteSpan data);

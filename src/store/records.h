@@ -18,9 +18,9 @@ using ReservationId = std::uint64_t;
 
 /// The mutating events the durable store logs.
 enum class RecordKind : std::uint8_t {
-  kReserve = 1,        ///< gateway granted a collateral reservation
+  kReserve = 1,        ///< gateway accepted a payment: its hold and its evidence
   kRelease = 2,        ///< reservation released (settled/judged/expired/rejected)
-  kAcceptCommit = 3,   ///< accepted binding drained from the commit queue
+  // 3 is retired (a second, flush-time accept record) and fails to decode.
   kDisputeOpen = 4,    ///< watchtower observed an escrow enter DISPUTED
   kDisputeResolve = 5, ///< watchtower observed the dispute leave DISPUTED
   kEpochChange = 6,    ///< replication: a newly promoted primary took over
@@ -40,7 +40,7 @@ enum class ReleaseCause : std::uint8_t {
 struct StoreRecord {
   RecordKind kind = RecordKind::kReserve;
 
-  // kReserve / kRelease / kAcceptCommit
+  // kReserve / kRelease
   ReservationId reservation_id = 0;
   EscrowId escrow_id = 0;
   std::uint64_t amount = 0;         ///< compensation locked against the escrow
@@ -48,10 +48,11 @@ struct StoreRecord {
   ByteArray<32> txid{};             ///< bound BTC payment txid
   ReleaseCause cause = ReleaseCause::kResolved;
 
-  // kAcceptCommit: opaque core::FastPayPackage / invoice encodings.
+  // kReserve: when the payment was accepted, and the opaque
+  // core::FastPayPackage / invoice encodings the merchant disputes with.
+  std::uint64_t accepted_at_ms = 0;
   Bytes package;
   Bytes invoice;
-  std::uint64_t accepted_at_ms = 0;
 
   // kEpochChange: the epoch the promoted primary now writes under.
   std::uint64_t epoch = 0;

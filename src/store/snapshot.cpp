@@ -206,8 +206,13 @@ bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
   StateImage& image = image_;
   switch (record.kind) {
     case RecordKind::kReserve: {
+      // An accept's hold and its evidence enter the image together.
       if (!reservation_at_.emplace(record.reservation_id, image.reservations.size()).second) {
         return false;  // double reserve
+      }
+      if (!accepted_at_.emplace(record.reservation_id, image.accepted.size()).second) {
+        reservation_at_.erase(record.reservation_id);  // a loaded image held the evidence alone
+        return false;
       }
       ReservationImage res;
       res.id = record.reservation_id;
@@ -216,6 +221,12 @@ bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
       res.expires_at_ms = record.expires_at_ms;
       res.txid = record.txid;
       image.reservations.push_back(std::move(res));
+      AcceptedImage acc;
+      acc.reservation_id = record.reservation_id;
+      acc.accepted_at_ms = record.accepted_at_ms;
+      acc.package = record.package;
+      acc.invoice = record.invoice;
+      image.accepted.push_back(std::move(acc));
       break;
     }
     case RecordKind::kRelease: {
@@ -223,25 +234,13 @@ bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
       if (it == reservation_at_.end()) return false;  // release of unknown id
       erase_at(image.reservations, reservation_at_, it->second,
                [](const ReservationImage& r) { return r.id; });
-      // An accepted binding whose reservation resolved is settled/judged
-      // history; drop it from the live book image too.
+      // The accept's evidence leaves with its hold: the payment settled,
+      // was judged, expired or was rolled back.
       if (const auto acc = accepted_at_.find(record.reservation_id); acc != accepted_at_.end()) {
         erase_at(image.accepted, accepted_at_, acc->second,
                  [](const AcceptedImage& a) { return a.reservation_id; });
       }
       ++image.released_count;
-      break;
-    }
-    case RecordKind::kAcceptCommit: {
-      if (!accepted_at_.emplace(record.reservation_id, image.accepted.size()).second) {
-        return false;  // double commit
-      }
-      AcceptedImage acc;
-      acc.reservation_id = record.reservation_id;
-      acc.accepted_at_ms = record.accepted_at_ms;
-      acc.package = record.package;
-      acc.invoice = record.invoice;
-      image.accepted.push_back(std::move(acc));
       break;
     }
     case RecordKind::kDisputeOpen: {

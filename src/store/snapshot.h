@@ -36,7 +36,8 @@ struct ReservationImage {
   [[nodiscard]] bool operator==(const ReservationImage& o) const = default;
 };
 
-/// An accepted binding the merchant committed to (commit queue drained).
+/// The evidence of an accepted payment, logged with its reservation in
+/// one kReserve record and dropped with it.
 struct AcceptedImage {
   ReservationId reservation_id = 0;
   std::uint64_t accepted_at_ms = 0;
@@ -98,7 +99,7 @@ class IndexedImage {
 
   /// Apply one WAL record (payload already decoded) at sequence `seq`.
   /// Returns false, changing nothing, on an impossible transition —
-  /// double-reserve of an id, double commit, release of an unknown
+  /// double-reserve of an id, release of an unknown
   /// reservation, resolve of an unopened dispute — which recovery treats
   /// as corruption and fails closed on.
   [[nodiscard]] bool apply(const StoreRecord& record, std::uint64_t seq);

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -662,7 +663,7 @@ TEST(GatewayBatchCommit, MatchesServeLoopBytesWalAndFollowerAtEveryPoolSize) {
   for (const auto& [i, code] : expect) {
     EXPECT_EQ(result_code(loop.responses[i]), static_cast<std::uint16_t>(code)) << "frame " << i;
   }
-  EXPECT_EQ(loop.quorum_calls, 5);  // one per accept, plus the flush
+  EXPECT_EQ(loop.quorum_calls, 4);  // one per accept; the flush asks none
   ASSERT_FALSE(loop.wal.empty());
   ASSERT_FALSE(loop.follower_image.empty());
 
@@ -673,7 +674,7 @@ TEST(GatewayBatchCommit, MatchesServeLoopBytesWalAndFollowerAtEveryPoolSize) {
     EXPECT_EQ(batch.responses, loop.responses) << workers << " workers";
     EXPECT_EQ(batch.wal, loop.wal) << workers << " workers";
     EXPECT_EQ(batch.follower_image, loop.follower_image) << workers << " workers";
-    EXPECT_EQ(batch.quorum_calls, 3) << "one per batch, plus the flush";
+    EXPECT_EQ(batch.quorum_calls, 2) << "one per batch; the flush asks none";
   }
 }
 
@@ -763,7 +764,8 @@ TEST(GatewayBatchCommit, CrashInsideTheBatchCommitKeepsEveryReturnedAccept) {
   // bytes are cut at every offset. A cut short of the end means the
   // commit write never completed, so no accept of the batch was returned;
   // the full write means all of them were. Either way recovery must
-  // succeed and hold the reservation of every accept a client saw.
+  // succeed and hold the reservation of every accept a client saw, and
+  // its evidence: the package the merchant would dispute with.
   BatchWorld w;
   const BatchFrames bf = batch_frames(w);
   w.dep->merchant_node().receive_tx(bf.conflict);
@@ -785,12 +787,24 @@ TEST(GatewayBatchCommit, CrashInsideTheBatchCommitKeepsEveryReturnedAccept) {
   ASSERT_GT(before, 0u);
   const std::vector<Bytes> rest(bf.frames.begin() + 1, bf.frames.end());
   const auto out = gw.serve_batch(rest, w.now);
+  // Each returned accept's reservation id, and the txid its frame paid.
+  auto paid_txid = [](const Bytes& submit) {
+    const auto frame = gateway::Frame::deserialize(submit);
+    EXPECT_TRUE(frame.has_value());
+    const auto req = gateway::SubmitFastPayRequest::deserialize(frame->payload);
+    EXPECT_TRUE(req.has_value());
+    return req->package.payment_tx.txid();
+  };
+  std::map<store::ReservationId, btc::Txid> txid_of = {
+      {first_result->reservation_id, paid_txid(bf.frames[0])}};
   std::vector<store::ReservationId> batch_rids;
-  for (const auto& r : out) {
-    const auto frame = gateway::Frame::deserialize(r);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto frame = gateway::Frame::deserialize(out[i]);
     if (!frame || frame->type != gateway::MsgType::kFastPayResult) continue;
     const auto res = gateway::FastPayResultResponse::deserialize(frame->payload);
-    if (res && res->accepted) batch_rids.push_back(res->reservation_id);
+    if (!res || !res->accepted) continue;
+    batch_rids.push_back(res->reservation_id);
+    txid_of[res->reservation_id] = paid_txid(rest[i]);
   }
   ASSERT_EQ(batch_rids.size(), 3u);
   gw.attach_store(nullptr);
@@ -816,6 +830,15 @@ TEST(GatewayBatchCommit, CrashInsideTheBatchCommitKeepsEveryReturnedAccept) {
       const bool held = std::any_of(image.reservations.begin(), image.reservations.end(),
                                     [&](const auto& r) { return r.id == rid; });
       EXPECT_TRUE(held) << "cut " << cut << ": reservation " << rid << " lost";
+      const auto acc = std::find_if(image.accepted.begin(), image.accepted.end(),
+                                    [&](const auto& a) { return a.reservation_id == rid; });
+      if (acc == image.accepted.end()) {
+        ADD_FAILURE() << "cut " << cut << ": evidence of reservation " << rid << " lost";
+        continue;
+      }
+      const auto pkg = core::FastPayPackage::deserialize(acc->package);
+      ASSERT_TRUE(pkg.has_value()) << "cut " << cut << ": reservation " << rid;
+      EXPECT_EQ(pkg->payment_tx.txid(), txid_of.at(rid)) << "cut " << cut;
     }
   }
   fs::remove_all(cut_dir);

@@ -75,6 +75,7 @@ TEST(Crc32c, DetectsEverySingleByteFlip) {
 
 // -------------------------------------------------------------- records
 
+/// An accept's one record: the hold, and the evidence blobs with it.
 StoreRecord reserve_rec(ReservationId rid, EscrowId eid, std::uint64_t amount) {
   StoreRecord r;
   r.kind = RecordKind::kReserve;
@@ -84,6 +85,9 @@ StoreRecord reserve_rec(ReservationId rid, EscrowId eid, std::uint64_t amount) {
   r.expires_at_ms = 10'000 + rid;
   r.txid[0] = static_cast<std::uint8_t>(rid);
   r.txid[31] = static_cast<std::uint8_t>(eid);
+  r.accepted_at_ms = 77'000;
+  r.package = {0xde, 0xad, 0xbe, 0xef, static_cast<std::uint8_t>(rid)};
+  r.invoice = {0x01, 0x02};
   return r;
 }
 
@@ -92,16 +96,6 @@ StoreRecord release_rec(ReservationId rid, ReleaseCause cause) {
   r.kind = RecordKind::kRelease;
   r.reservation_id = rid;
   r.cause = cause;
-  return r;
-}
-
-StoreRecord accept_rec(ReservationId rid) {
-  StoreRecord r;
-  r.kind = RecordKind::kAcceptCommit;
-  r.reservation_id = rid;
-  r.accepted_at_ms = 77'000;
-  r.package = {0xde, 0xad, 0xbe, 0xef};
-  r.invoice = {0x01, 0x02};
   return r;
 }
 
@@ -142,8 +136,7 @@ StoreRecord header_rec(std::uint8_t tag) {
 TEST(StoreRecords, EveryKindRoundTrips) {
   const StoreRecord samples[] = {
       reserve_rec(0x1203, 9, 12345), release_rec(0x1203, ReleaseCause::kExpired),
-      accept_rec(0x1203), dispute_open_rec(9, 0x42), dispute_resolve_rec(9, 0x42),
-      epoch_rec(3), header_rec(0x50)};
+      dispute_open_rec(9, 0x42), dispute_resolve_rec(9, 0x42), epoch_rec(3), header_rec(0x50)};
   for (const auto& rec : samples) {
     const auto back = StoreRecord::deserialize(rec.serialize());
     ASSERT_TRUE(back.has_value()) << "kind " << static_cast<int>(rec.kind);
@@ -152,7 +145,7 @@ TEST(StoreRecords, EveryKindRoundTrips) {
 }
 
 TEST(StoreRecords, RejectsTruncationAndTrailingBytes) {
-  for (const auto& rec : {reserve_rec(1, 2, 3), accept_rec(7), dispute_open_rec(3, 1)}) {
+  for (const auto& rec : {reserve_rec(1, 2, 3), dispute_open_rec(3, 1)}) {
     const Bytes full = rec.serialize();
     for (std::size_t len = 0; len < full.size(); ++len) {
       EXPECT_FALSE(StoreRecord::deserialize({full.data(), len}).has_value())
@@ -168,6 +161,14 @@ TEST(StoreRecords, RejectsBadEnums) {
   Bytes bad_kind = reserve_rec(1, 2, 3).serialize();
   bad_kind[0] = 0x77;
   EXPECT_FALSE(StoreRecord::deserialize(bad_kind).has_value());
+  // Kind 3 is retired (a flush-time accept record): it fails closed, and
+  // so does a reserve body of the old layout, which lacks the evidence.
+  Bytes retired = reserve_rec(1, 2, 3).serialize();
+  retired[0] = 0x03;
+  EXPECT_FALSE(StoreRecord::deserialize(retired).has_value());
+  const Bytes full = reserve_rec(1, 2, 3).serialize();
+  const Bytes old_layout(full.begin(), full.begin() + 1 + 4 * 8 + 32);
+  EXPECT_FALSE(StoreRecord::deserialize(old_layout).has_value());
 
   Bytes bad_cause = release_rec(1, ReleaseCause::kResolved).serialize();
   bad_cause.back() = 0x09;  // cause is the final byte
@@ -517,18 +518,31 @@ TEST(Snapshot, ApplyRecordRejectsImpossibleTransitions) {
   EXPECT_FALSE(img.apply(release_rec(5, ReleaseCause::kResolved), 1));  // unknown rid
   EXPECT_TRUE(img.apply(reserve_rec(5, 1, 100), 1));
   EXPECT_FALSE(img.apply(reserve_rec(5, 1, 100), 2));  // double reserve
-  EXPECT_TRUE(img.apply(accept_rec(5), 2));
-  EXPECT_FALSE(img.apply(accept_rec(5), 3));  // double commit
+  // The reserve brought its evidence into the image with the hold.
+  ASSERT_EQ(img.image().accepted.size(), 1u);
+  EXPECT_EQ(img.image().accepted[0].reservation_id, 5u);
+  EXPECT_EQ(img.image().accepted[0].package, reserve_rec(5, 1, 100).package);
   EXPECT_TRUE(img.apply(dispute_open_rec(1, 0x11), 3));
   EXPECT_FALSE(img.apply(dispute_open_rec(1, 0x11), 4));     // dup dispute
   EXPECT_FALSE(img.apply(dispute_resolve_rec(1, 0x22), 4));  // wrong txid
   EXPECT_TRUE(img.apply(dispute_resolve_rec(1, 0x11), 4));
   EXPECT_EQ(img.image().last_seq, 4u);
   EXPECT_EQ(img.image().resolved_disputes, 1u);
-  // Releasing an accepted reservation also retires the accepted entry.
+  // Releasing the reservation also retires its evidence.
   EXPECT_TRUE(img.apply(release_rec(5, ReleaseCause::kResolved), 5));
   EXPECT_TRUE(img.image().accepted.empty());
   EXPECT_TRUE(img.image().reservations.empty());
+
+  // A loaded image can hold evidence whose hold is gone (an older writer
+  // logged the two apart). A reserve of that id fails and changes
+  // nothing: no hold is left behind for a release to find.
+  StateImage orphan = sample_image();
+  orphan.accepted[0].reservation_id = 0x399;
+  auto loaded = IndexedImage::index(orphan);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_FALSE(loaded->apply(reserve_rec(0x399, 7, 10), 43));
+  EXPECT_FALSE(loaded->apply(release_rec(0x399, ReleaseCause::kRejected), 43));
+  EXPECT_EQ(loaded->image().serialize(), orphan.serialize());
 }
 
 TEST(Snapshot, EpochOnlyRatchetsUpAndHeadersStayUnique) {
@@ -555,8 +569,8 @@ TEST(Snapshot, EpochOnlyRatchetsUpAndHeadersStayUnique) {
   EXPECT_EQ(back->headers[1], img.image().headers[1]);
 }
 
-/// A churning record sequence: 300 reservations, a third of them
-/// committed, half released in scattered order (removals from the middle
+/// A churning record sequence: 300 reservations, each with its evidence,
+/// half released in scattered order (removals from the middle
 /// of the image), released ids reserved again, disputes opened and
 /// resolved out of order, headers and epoch changes.
 std::vector<StoreRecord> churn_tape() {
@@ -564,7 +578,6 @@ std::vector<StoreRecord> churn_tape() {
   constexpr ReservationId kN = 300;
   for (ReservationId id = 1; id <= kN; ++id) {
     tape.push_back(reserve_rec(id, id % 7 + 1, 1'000 + id));
-    if (id % 3 == 0) tape.push_back(accept_rec(id));
     if (id % 50 == 0) tape.push_back(header_rec(static_cast<std::uint8_t>(id / 50)));
   }
   for (std::uint8_t k = 0; k < 20; ++k) tape.push_back(dispute_open_rec(k % 5 + 1, k));
@@ -583,9 +596,10 @@ std::vector<StoreRecord> churn_tape() {
 
 // The snapshot bytes of a churning sequence, pinned: removals reorder
 // the live image's entries, and the encoding must not show it. The pin
-// is the encoding the scan-and-erase replay produced for this sequence.
-constexpr std::size_t kPinnedChurnBytes = 12848;
-constexpr std::uint32_t kPinnedChurnCrc = 0x43639b5c;
+// is the encoding a naive scan-and-erase replay produces for this
+// sequence, where every reserve carries its evidence blobs.
+constexpr std::size_t kPinnedChurnBytes = 15773;
+constexpr std::uint32_t kPinnedChurnCrc = 0x5487a575;
 
 TEST(Snapshot, ChurnSequenceEncodesToPinnedBytes) {
   const auto tape = churn_tape();
@@ -598,7 +612,6 @@ TEST(Snapshot, ChurnSequenceEncodesToPinnedBytes) {
 
   // Impossible transitions still fail closed and change nothing.
   EXPECT_FALSE(img.apply(reserve_rec(4, 1, 5), seq + 1));       // id 4 is live
-  EXPECT_FALSE(img.apply(accept_rec(9), seq + 1));               // already committed
   EXPECT_FALSE(img.apply(release_rec(38, ReleaseCause::kResolved), seq + 1));  // released
   EXPECT_FALSE(img.apply(dispute_resolve_rec(5, 19), seq + 1));  // resolved already
   EXPECT_FALSE(img.apply(header_rec(1), seq + 1));               // accepted already
@@ -626,17 +639,17 @@ TEST(Snapshot, IndexRefusesAnImageHoldingAKeyTwice) {
 // --------------------------------------------------------- durable store
 
 /// The deterministic event tape used by the crash-point tests: a full
-/// reserve/accept/dispute/release lifecycle across two escrows.
+/// accept/dispute/release/rollback lifecycle across two escrows.
 std::vector<StoreRecord> event_tape() {
   std::vector<StoreRecord> tape;
   tape.push_back(reserve_rec(0x101, 1, 1000));
   tape.push_back(reserve_rec(0x202, 2, 2000));
-  tape.push_back(accept_rec(0x101));
+  tape.push_back(reserve_rec(0x505, 1, 300));
   tape.push_back(dispute_open_rec(1, 0x31));
   tape.push_back(release_rec(0x202, ReleaseCause::kExpired));
   tape.push_back(reserve_rec(0x303, 2, 500));
   tape.push_back(dispute_resolve_rec(1, 0x31));
-  tape.push_back(accept_rec(0x303));
+  tape.push_back(release_rec(0x505, ReleaseCause::kRejected));
   tape.push_back(release_rec(0x101, ReleaseCause::kResolved));
   tape.push_back(dispute_open_rec(2, 0x44));
   return tape;
@@ -1078,7 +1091,7 @@ struct StoreGatewayUnit : ::testing::Test {
   core::FastPayPackage pkg{};
 };
 
-TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
+TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationAndAccept) {
   const std::string dir = scratch_dir("gw-accept-flush");
   StoreOptions opts;
   opts.policy = FsyncPolicy::kNone;
@@ -1091,15 +1104,18 @@ TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
   const auto resp = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
   ASSERT_TRUE(resp.accepted) << resp.reason;
   EXPECT_EQ(gw->commit_queue_depth(), 1u);
-  // The accept was WAL-committed before the response left serve(), and
-  // the document's store section reads the store.
-  EXPECT_GE(st->wal_appends(), 1u);
+  // The accept's one record was WAL-committed before the response left
+  // serve(), and the document's store section reads the store.
+  EXPECT_EQ(st->wal_appends(), 1u);
   EXPECT_EQ(stats_doc::counter(gw->stats_json(), "store", "wal_appends"), st->wal_appends());
 
-  // Crash between accept and flush: gateway memory and store handle die;
-  // the commit queue entry is gone for good.
+  // Crash between accept and flush: gateway memory and store handle die,
+  // with the commit queue entry, before the merchant booked or broadcast.
   gw.reset();
   st.reset();
+  const btc::Txid txid = pkg.payment_tx.txid();
+  ASSERT_TRUE(dep->merchant().pending().empty());
+  ASSERT_FALSE(dep->merchant_node().mempool().contains(txid));
 
   RecoveryInfo info;
   auto st2 = DurableStore::open(dir, opts, &info);
@@ -1107,16 +1123,21 @@ TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
   EXPECT_EQ(info.replayed_records, 1u);
   const StateImage image = st2->image_copy();
   ASSERT_EQ(image.reservations.size(), 1u);
-  EXPECT_TRUE(image.accepted.empty());  // flush never happened: not covered
+  ASSERT_EQ(image.accepted.size(), 1u);  // the evidence was durable at ack
   EXPECT_EQ(image.reservations[0].escrow_id, dep->customer().escrow_id());
   EXPECT_EQ(image.reservations[0].amount, pkg.binding.binding.compensation);
+  EXPECT_EQ(image.accepted[0].reservation_id, resp.reservation_id);
+  EXPECT_EQ(image.accepted[0].accepted_at_ms, now);
 
   auto gw2 = make_gateway(dep->merchant());
   gw2->attach_store(st2.get());
   ASSERT_TRUE(gw2->restore_from(image));
-  // The binding was never booked (crash before flush), so the merchant
-  // book is empty — but the collateral hold survived the crash.
-  EXPECT_EQ(dep->merchant().pending().size(), 0u);
+  // Recovery books the acked payment and hands it to the merchant's node,
+  // which never saw it; the collateral hold survived too.
+  ASSERT_EQ(dep->merchant().pending().size(), 1u);
+  EXPECT_EQ(dep->merchant().pending()[0].package.binding.binding.btc_txid, txid);
+  EXPECT_EQ(dep->merchant().pending()[0].invoice.invoice_id, invoice.invoice_id);
+  EXPECT_TRUE(dep->merchant_node().mempool().contains(txid));
   const auto snap = gw2->escrow_snapshot(dep->customer().escrow_id());
   ASSERT_TRUE(snap.has_value());
   EXPECT_EQ(snap->local_reserved, pkg.binding.binding.compensation);
@@ -1133,6 +1154,53 @@ TEST_F(StoreGatewayUnit, CrashBetweenAcceptAndFlushKeepsReservationNotAccept) {
   EXPECT_FALSE(resp2.accepted);
   EXPECT_EQ(resp2.code, core::RejectReason::kInsufficientCollateral);
   gw2.reset();
+  st2.reset();
+  fs::remove_all(dir);
+}
+
+TEST_F(StoreGatewayUnit, PendingLimitRefusalWritesNothingToTheWal) {
+  // The store-attached twin of GatewayUnit.PendingLimitClaimedAtomicallyAcrossQueues:
+  // the book slot is claimed before the WAL append, so the refused
+  // accept leaves no record behind — the log holds the winner's reserve
+  // and nothing else.
+  const std::string dir = scratch_dir("gw-pending-limit");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+  auto st = DurableStore::open(dir, opts);
+  ASSERT_NE(st, nullptr);
+  core::MerchantService::Config mcfg = dep->merchant().config();
+  mcfg.max_pending_payments = 1;
+  core::MerchantService limited(dep->merchant().btc_identity(), dep->merchant_node(), dep->psc(),
+                                mcfg);
+  auto gw = make_gateway(limited);
+  gw->attach_store(st.get());
+  gw->register_invoice(invoice);
+  // The second payment is small enough for the escrow's collateral, so
+  // only the pending limit can refuse it.
+  const auto inv2 =
+      dep->merchant().make_invoice(5 * btc::kCoin, dep->config().compensation / 4, now,
+                                   10ULL * 60 * 1000);
+  gw->register_invoice(inv2);
+  const auto pkg2 = dep->customer().create_fastpay(inv2, coins[1].first,
+                                                   coins[1].second.out.value, now,
+                                                   dep->config().binding_ttl_ms);
+  const auto first = decode_result(gw->serve(submit_frame(1, invoice, pkg), now));
+  ASSERT_TRUE(first.accepted) << first.reason;
+  const auto second = decode_result(gw->serve(submit_frame(2, inv2, pkg2), now));
+  EXPECT_FALSE(second.accepted);
+  EXPECT_EQ(second.code, core::RejectReason::kPendingLimit);
+  EXPECT_EQ(st->wal_appends(), 1u);
+
+  gw.reset();
+  st.reset();
+  RecoveryInfo info;
+  auto st2 = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(st2, nullptr) << info.error;
+  EXPECT_EQ(info.replayed_records, 1u);
+  const StateImage image = st2->image_copy();
+  ASSERT_EQ(image.reservations.size(), 1u);
+  EXPECT_EQ(image.reservations[0].id, first.reservation_id);
+  EXPECT_EQ(image.released_count, 0u);
   st2.reset();
   fs::remove_all(dir);
 }
@@ -1155,7 +1223,7 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   // The document's store section is read from the store.
   const std::string json = gw->stats_json();
   EXPECT_NE(json.find("\"wal_appends\""), std::string::npos);
-  EXPECT_GE(st->wal_appends(), 2u);  // reserve + accept-commit
+  EXPECT_EQ(st->wal_appends(), 1u);  // one record per accept; the flush logs nothing
   EXPECT_EQ(stats_doc::counter(json, "store", "wal_appends"), st->wal_appends());
   EXPECT_EQ(stats_doc::counter(json, "store", "fsyncs"), st->wal_syncs());
   EXPECT_EQ(stats_doc::counter(json, "store", "recovery_replayed_records"),
@@ -1174,7 +1242,7 @@ TEST_F(StoreGatewayUnit, RecoveryRestoresFlushedAcceptsIntoFreshProcess) {
   RecoveryInfo info;
   auto st2 = DurableStore::open(dir, opts, &info);
   ASSERT_NE(st2, nullptr) << info.error;
-  EXPECT_EQ(info.replayed_records, 2u);
+  EXPECT_EQ(info.replayed_records, 1u);
   const StateImage image = st2->image_copy();
   ASSERT_EQ(image.reservations.size(), 1u);
   ASSERT_EQ(image.accepted.size(), 1u);
@@ -1252,7 +1320,7 @@ TEST_F(StoreGatewayUnit, DuplicateIndexFollowsTheHoldThroughReleaseAndRecovery) 
   fs::remove_all(dir);
 }
 
-TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
+TEST(StoreGatewayQuorum, FlushAppliesInShardOrderBooksOnceAndLogsNothing) {
   core::DeploymentConfig cfg;
   cfg.seed = 4343;
   cfg.funded_coins = 4;
@@ -1278,7 +1346,7 @@ TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
   gw.track_escrow(e1);
   gw.track_escrow(e2);
 
-  const std::string dir = scratch_dir("gw-quorum-requeue");
+  const std::string dir = scratch_dir("gw-quorum-flush");
   StoreOptions opts;
   opts.policy = FsyncPolicy::kNone;
   auto st = DurableStore::open(dir, opts);
@@ -1308,18 +1376,13 @@ TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
     ASSERT_TRUE(resp.accepted) << resp.reason;
   }
   ASSERT_EQ(gw.commit_queue_depth(), 4u);
-  const std::uint64_t appends_before_flush = st->wal_appends();
+  EXPECT_EQ(st->wal_appends(), 4u);  // one record per accept
 
-  // The epoch misses quorum: nothing is applied, every accept stays queued.
+  // The flush applies the accepts in shard order, then queue order. It
+  // appends nothing and asks the gate nothing: every accept was durable
+  // and at quorum before its response, so a refusal left armed here is
+  // never consumed.
   gate.refusals = 1;
-  EXPECT_TRUE(gw.flush_accepted(now).empty());
-  EXPECT_EQ(gw.commit_queue_depth(), 4u);
-  EXPECT_TRUE(dep.merchant().pending().empty());
-  EXPECT_EQ(st->wal_appends(), appends_before_flush + 4);
-
-  // The retry reaches quorum and applies the same accepts in shard order,
-  // then queue order. Its appends are double commits the store refuses,
-  // so the WAL gains nothing.
   std::vector<std::size_t> order = {0, 1, 2, 3};
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return gw.shard_index(pkgs[a].binding.binding.escrow_id) <
@@ -1333,7 +1396,8 @@ TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
     EXPECT_EQ(actions[k].args, core::encode_open_dispute_args(b.binding.escrow_id, b)) << k;
   }
   EXPECT_EQ(gw.commit_queue_depth(), 0u);
-  EXPECT_EQ(st->wal_appends(), appends_before_flush + 4);
+  EXPECT_EQ(st->wal_appends(), 4u);
+  EXPECT_EQ(gate.refusals, 1);
 
   // The merchant book holds each payment once, in the same order, and a
   // further flush has nothing left to apply.
@@ -1345,12 +1409,14 @@ TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
   EXPECT_TRUE(gw.flush_accepted(now).empty());
   EXPECT_EQ(dep.merchant().pending().size(), 4u);
 
-  // Recovery sees exactly one accept commit per reservation.
+  // Recovery sees exactly one accepted entry per reservation.
+  gw.attach_commit_gate(nullptr);
+  gw.attach_store(nullptr);
   st.reset();
   RecoveryInfo info;
   auto st2 = DurableStore::open(dir, opts, &info);
   ASSERT_NE(st2, nullptr) << info.error;
-  EXPECT_EQ(info.replayed_records, 8u);  // 4 reserves + 4 accept commits
+  EXPECT_EQ(info.replayed_records, 4u);
   const StateImage image = st2->image_copy();
   ASSERT_EQ(image.reservations.size(), 4u);
   ASSERT_EQ(image.accepted.size(), 4u);
@@ -1361,6 +1427,83 @@ TEST(StoreGatewayQuorum, RefusedFlushRequeuesEpochInOrderAndBooksOnce) {
   std::sort(committed.begin(), committed.end());
   EXPECT_EQ(committed, reserved);
   st2.reset();
+  fs::remove_all(dir);
+}
+
+TEST(StoreGatewayRecovery, SnapshotAndReplayRestoreTheBookInOneOrder) {
+  // One history — accept A, B, C; expire A — recovered from the WAL and
+  // from a snapshot. Replay leaves the image's entries as the removal
+  // left them (C moved into A's slot), the snapshot sorted; the rebuilt
+  // book must not show the difference.
+  core::DeploymentConfig cfg;
+  cfg.seed = 4444;
+  cfg.funded_coins = 3;
+  core::Deployment dep(cfg);
+  const auto now = static_cast<std::uint64_t>(dep.simulator().now());
+  common::ThreadPool pool{0};
+  const std::string dir = scratch_dir("gw-restore-order");
+  StoreOptions opts;
+  opts.policy = FsyncPolicy::kNone;
+
+  const auto coins =
+      sim::find_spendable(dep.customer_node().chain(), dep.customer().btc_identity().script);
+  ASSERT_GE(coins.size(), 3u);
+  constexpr std::uint64_t kShortTtl = 6ULL * 60 * 60 * 1000;  // A expires first
+  std::vector<btc::Txid> paid;
+  {
+    auto st = DurableStore::open(dir, opts);
+    ASSERT_NE(st, nullptr);
+    gateway::Gateway gw(dep.merchant(), pool, gateway::GatewayConfig{});
+    gw.track_escrow(dep.customer().escrow_id());
+    gw.attach_store(st.get());
+    for (std::size_t i = 0; i < 3; ++i) {
+      const auto inv = dep.merchant().make_invoice(5 * btc::kCoin, cfg.compensation, now,
+                                                   10ULL * 60 * 1000);
+      gw.register_invoice(inv);
+      const auto p = dep.customer().create_fastpay(inv, coins[i].first, coins[i].second.out.value,
+                                                   now, i == 0 ? kShortTtl : cfg.binding_ttl_ms);
+      gateway::SubmitFastPayRequest req;
+      req.invoice_id = inv.invoice_id;
+      req.package = p;
+      const auto resp = StoreGatewayUnit::decode_result(
+          gw.serve(gateway::make_frame(gateway::MsgType::kSubmitFastPay, i + 1, req.serialize()),
+                   now));
+      ASSERT_TRUE(resp.accepted) << resp.reason;
+      paid.push_back(p.payment_tx.txid());
+    }
+    gw.reconcile(now + kShortTtl + 1);
+    ASSERT_EQ(gw.reservations_expired(), 1u);
+    gw.attach_store(nullptr);
+  }
+
+  auto replayed = DurableStore::open(dir, opts);
+  ASSERT_NE(replayed, nullptr);
+  const StateImage from_wal = replayed->image_copy();
+  ASSERT_TRUE(replayed->take_snapshot());
+  replayed.reset();
+  RecoveryInfo info;
+  auto loaded = DurableStore::open(dir, opts, &info);
+  ASSERT_NE(loaded, nullptr) << info.error;
+  EXPECT_EQ(info.replayed_records, 0u);
+  const StateImage from_snapshot = loaded->image_copy();
+  loaded.reset();
+  ASSERT_EQ(from_wal.serialize(), from_snapshot.serialize());
+  ASSERT_EQ(from_wal.accepted.size(), 2u);
+  ASSERT_NE(from_wal.accepted[0].reservation_id, from_snapshot.accepted[0].reservation_id)
+      << "the two images must differ in memory order for this test to bite";
+
+  auto book_order = [&](const StateImage& image) {
+    core::MerchantService merchant(dep.merchant().btc_identity(), dep.merchant_node(), dep.psc(),
+                                   dep.merchant().config());
+    gateway::Gateway gw(merchant, pool, gateway::GatewayConfig{});
+    EXPECT_TRUE(gw.restore_from(image));
+    std::vector<btc::Txid> order;
+    for (const auto& p : merchant.pending()) order.push_back(p.package.binding.binding.btc_txid);
+    return order;
+  };
+  const std::vector<btc::Txid> expect = {paid[1], paid[2]};
+  EXPECT_EQ(book_order(from_wal), expect);
+  EXPECT_EQ(book_order(from_snapshot), expect);
   fs::remove_all(dir);
 }
 
