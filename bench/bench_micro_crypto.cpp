@@ -304,7 +304,7 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
     }
   });
 
-  // Batch verify: one Montgomery inversion per batch. Cold = distinct
+  // Batch verify: one Montgomery inversion per chunk. Cold = distinct
   // keys, warm = 4 repeat payers with resident precomp tables.
   common::ThreadPool inline_pool(0);
   std::vector<SigCheckJob> batch_cold;
@@ -361,8 +361,8 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   doc.set("verify_batch_warm_speedup", batch_warm_speedup);
   doc.add_table("verify", verify);
 
-  // batch_verify across pool sizes: the cold batch's table builds and
-  // GLV chains fan out per key / per job; the inversion stays serial.
+  // batch_verify across pool sizes: the cold batch's chunks (table
+  // builds, one inversion and the GLV chains each) fan out over the pool.
   // Interleaved min-of-reps, as the merkle rows: each rep times every
   // pool size back to back, so a noisy spell hits all rows alike.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -395,10 +395,13 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   // Batch equations: the same passes with and without R-parity hints.
   // Cold = a serving window of first-time payers (155 keys × 2 sigs: the
   // binding and the input share a key), hot = 4 repeat payers with
-  // resident tables. The cut-over rows walk small passes across
-  // kMinBatchEquationJobs; the wrong-bit row is the worst a submitter can
-  // force: one bad parity bit in every sub-batch, so every equation
-  // fails and its jobs are checked again one chain each.
+  // resident tables; both are cut into kVerifyChunkJobs chunks, one
+  // equation each. The cut-over rows walk small passes across
+  // kMinBatchEquationJobs, and the chunk rows time one equation of
+  // kVerifyChunkJobs and of 1.5x as many jobs (a pass under two chunks
+  // on the inline pool is one equation). The wrong-bit row is the worst a
+  // submitter can force: one bad parity bit in every chunk, so every
+  // equation fails and its jobs are checked again one chain each.
   const auto window = [](std::size_t keys, std::size_t per_key, std::uint64_t seed) {
     std::vector<SigCheckJob> jobs;
     for (std::size_t k = 0; k < keys; ++k) {
@@ -430,12 +433,11 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
   for (int pass = 0; pass < 3; ++pass) (void)batch_verify(inline_pool, hot_window, nullptr, &hot_pre);
   check(hot_pre.stats().insertions == 4);
   common::ThreadPool& widest = *pools.back();
-  // One flipped bit in each of the first keys' first jobs: batch_verify
-  // gives each new key the lightest sub-batch, so key b lands in
-  // sub-batch b and every sub-batch gets one wrong bit.
+  // One flipped bit at the start of every chunk (the window holds at
+  // least two, so its chunks are kVerifyChunkJobs long).
   auto cold_wrong_bit = cold_window;
-  for (std::size_t b = 0; b < std::max<std::size_t>(1, widest.thread_count()); ++b) {
-    cold_wrong_bit[2 * b].r_parity ^= 1;
+  for (std::size_t j = 0; j < cold_wrong_bit.size(); j += kVerifyChunkJobs) {
+    cold_wrong_bit[j].r_parity ^= 1;
   }
 
   struct HintRow {
@@ -455,17 +457,23 @@ bool run_verify_engine_section(bench::JsonDoc& doc, bool smoke) {
                   &cold_window_plain, &cold_window, nullptr});
   rows.push_back({"hot 4 keys x 26 (resident)", "inline", &inline_pool, &hot_window_plain,
                   &hot_window, &hot_pre});
-  rows.push_back({"cold, 1 wrong bit per sub-batch", std::to_string(widest.thread_count()), &widest,
+  rows.push_back({"cold, 1 wrong bit per chunk", std::to_string(widest.thread_count()), &widest,
                   &cold_window_plain, &cold_wrong_bit, nullptr});
   std::vector<std::vector<SigCheckJob>> cut_jobs[2];
+  std::vector<std::string> cut_names;
   for (const std::size_t n : {kMinBatchEquationJobs / 2, kMinBatchEquationJobs,
                               2 * kMinBatchEquationJobs, 4 * kMinBatchEquationJobs}) {
     cut_jobs[1].push_back(window(n / 2, 2, 40 + n));
-    cut_jobs[0].push_back(unhinted(cut_jobs[1].back()));
+    cut_names.push_back("cut-over: " + std::to_string(n) + " jobs");
   }
+  for (const std::size_t n : {kVerifyChunkJobs, kVerifyChunkJobs * 3 / 2}) {
+    cut_jobs[1].push_back(window(n / 2, 2, 40 + n));
+    cut_names.push_back("chunk: " + std::to_string(n) + " jobs");
+  }
+  for (const auto& jobs : cut_jobs[1]) cut_jobs[0].push_back(unhinted(jobs));
   for (std::size_t c = 0; c < cut_jobs[1].size(); ++c) {
-    rows.push_back({"cut-over: " + std::to_string(cut_jobs[1][c].size()) + " jobs", "inline",
-                    &inline_pool, &cut_jobs[0][c], &cut_jobs[1][c], nullptr});
+    rows.push_back({cut_names[c], "inline", &inline_pool, &cut_jobs[0][c], &cut_jobs[1][c],
+                    nullptr});
   }
   for (int rep = 0; rep < reps; ++rep) {
     for (auto& row : rows) {

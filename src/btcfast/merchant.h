@@ -25,9 +25,10 @@ struct SigJobIndex {
   std::vector<std::size_t> inputs;
 };
 
-/// One package's share of a batch verify pass: the pass's jobs,
-/// batch_verify's per-job results (1 = valid), and where the package's
-/// checks sit among them.
+/// One package's share of a batch verify pass: the pass's jobs, its
+/// per-job results (1 = valid; final for the package's checks once the
+/// chunks holding them are published), and where the package's checks
+/// sit among them.
 struct PassVerdicts {
   const std::vector<crypto::SigCheckJob>& jobs;
   const std::vector<std::uint8_t>& ok;

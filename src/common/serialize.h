@@ -15,6 +15,8 @@ namespace btcfast {
 class Writer {
  public:
   Writer() = default;
+  /// Continue writing at the end of `buf` (moved in; take() hands it back).
+  explicit Writer(Bytes&& buf) noexcept : buf_(std::move(buf)) {}
 
   /// Pre-size the buffer (exact or upper-bound) so hot serialization
   /// paths pay one allocation instead of a growth sequence.

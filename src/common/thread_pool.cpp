@@ -96,25 +96,27 @@ void ThreadPool::worker_loop(Worker& w) {
   }
 }
 
+std::vector<ThreadPool::Worker*> ThreadPool::other_cpus_workers() const {
+  const int cpu = current_cpu();
+  const auto on_callers_cpu = [cpu](const Worker& w) { return cpu >= 0 && w.cpu == cpu; };
+  const std::size_t count = workers_.size();
+  std::size_t first = 0;
+  while (first < count && !on_callers_cpu(*workers_[first])) ++first;
+  std::vector<Worker*> others;
+  others.reserve(count);
+  for (std::size_t k = 1; k <= count; ++k) {
+    Worker* w = workers_[(first + k) % count].get();
+    if (!on_callers_cpu(*w)) others.push_back(w);
+  }
+  return others;
+}
+
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  // Helpers go to the workers on other CPUs, starting after the caller's
-  // own worker so concurrent callers on different CPUs spread out. The
-  // caller's CPU already has a runnable thread: the caller, which drains
-  // too.
+  // Helpers go to the workers on other CPUs. The caller's CPU already has
+  // a runnable thread: the caller, which drains too.
   std::vector<Worker*> others;
-  if (n > 1 && !workers_.empty()) {
-    const int cpu = current_cpu();
-    const auto on_callers_cpu = [cpu](const Worker& w) { return cpu >= 0 && w.cpu == cpu; };
-    const std::size_t count = workers_.size();
-    std::size_t first = 0;
-    while (first < count && !on_callers_cpu(*workers_[first])) ++first;
-    others.reserve(count);
-    for (std::size_t k = 1; k <= count; ++k) {
-      Worker* w = workers_[(first + k) % count].get();
-      if (!on_callers_cpu(*w)) others.push_back(w);
-    }
-  }
+  if (n > 1 && !workers_.empty()) others = other_cpus_workers();
   if (others.empty()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
@@ -195,6 +197,92 @@ void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_
     for (auto& j : joins) j.get();
     std::rethrow_exception(shared->error);
   }
+}
+
+// One mutex guards the whole fan-out: its indices are coarse (a chunk of
+// signature checks each), so a claim under the lock costs nothing next to
+// the work, and the owner's wait needs no second synchronisation.
+struct ThreadPool::FanOut::Shared {
+  std::function<void(std::size_t)> fn;  // owned: late helpers may outlive the owner
+  std::size_t n = 0;
+  std::mutex mutex;
+  std::condition_variable cv;  // the owner waits here; finishers notify
+  std::size_t next = 0;        // lowest unclaimed index
+  std::size_t running = 0;     // claimed, not yet finished
+  std::vector<bool> done;
+  bool stopped = false;  // claim nothing more: an index threw, or the owner is gone
+  std::exception_ptr error;
+
+  /// Claim the next index and run it with the lock released. Requires
+  /// `lock` held and next < n.
+  void run_next(std::unique_lock<std::mutex>& lock) {
+    const std::size_t i = next++;
+    ++running;
+    lock.unlock();
+    std::exception_ptr thrown;
+    try {
+      fn(i);
+    } catch (...) {
+      thrown = std::current_exception();
+    }
+    lock.lock();
+    --running;
+    if (thrown) {
+      if (!error) error = thrown;
+      stopped = true;
+    } else {
+      done[i] = true;
+    }
+    cv.notify_all();
+  }
+
+  /// A helper's task: run indices until none is left to claim.
+  void help() {
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!stopped && next < n) run_next(lock);
+  }
+};
+
+ThreadPool::FanOut ThreadPool::fan_out(std::size_t n, std::function<void(std::size_t)> fn) {
+  auto shared = std::make_shared<FanOut::Shared>();
+  shared->fn = std::move(fn);
+  shared->n = n;
+  shared->done.assign(n, false);
+  if (n > 1 && !workers_.empty()) {
+    const std::vector<Worker*> others = other_cpus_workers();
+    const std::size_t helpers = std::min(others.size(), n - 1);
+    for (std::size_t k = 0; k < helpers; ++k) post(*others[k], [shared] { shared->help(); });
+  }
+  return FanOut(std::move(shared));
+}
+
+ThreadPool::FanOut::~FanOut() {
+  if (!shared_) return;  // moved from
+  Shared& s = *shared_;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  s.stopped = true;
+  s.cv.wait(lock, [&s] { return s.running == 0; });
+}
+
+void ThreadPool::FanOut::wait(std::size_t i) {
+  Shared& s = *shared_;
+  std::unique_lock<std::mutex> lock(s.mutex);
+  while (!s.done[i]) {
+    if (s.error) {
+      // Rethrow only once no helper is inside fn, and claim nothing more.
+      s.cv.wait(lock, [&s] { return s.running == 0; });
+      std::rethrow_exception(s.error);
+    }
+    if (s.next < s.n) {
+      s.run_next(lock);
+    } else {
+      s.cv.wait(lock);
+    }
+  }
+}
+
+void ThreadPool::FanOut::wait_all() {
+  for (std::size_t i = 0; i < shared_->n; ++i) wait(i);
 }
 
 namespace {

@@ -83,6 +83,15 @@ class ThreadPool {
   /// in-flight helper has finished.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  class FanOut;
+  /// Start fn(i) for i in [0, n) and return at once; the returned FanOut
+  /// lets the caller wait for one index at a time. Indices are claimed
+  /// one at a time in increasing order, each runs exactly once, and
+  /// helpers go only to workers on CPUs other than the caller's, as in
+  /// parallel_for. The caller runs unclaimed indices itself while it
+  /// waits, so an inline pool degenerates to a plain loop.
+  [[nodiscard]] FanOut fan_out(std::size_t n, std::function<void(std::size_t)> fn);
+
   /// The CPUs the calling thread may run on (sched_getaffinity), in
   /// ascending order; empty where that cannot be read.
   [[nodiscard]] static std::vector<int> allowed_cpus();
@@ -110,10 +119,41 @@ class ThreadPool {
   };
 
   static void post(Worker& w, std::function<void()> task);
+  /// The workers pinned to a CPU other than the caller's, starting after
+  /// the caller's own worker so concurrent callers on different CPUs
+  /// spread out.
+  [[nodiscard]] std::vector<Worker*> other_cpus_workers() const;
   static void worker_loop(Worker& w);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<std::size_t> next_{0};  ///< submit()'s round-robin cursor
+};
+
+/// An in-flight fan_out. Single-owner: only the thread that started it
+/// calls wait() and wait_all().
+class ThreadPool::FanOut {
+ public:
+  FanOut(FanOut&&) noexcept = default;
+  FanOut& operator=(FanOut&&) = delete;
+  FanOut(const FanOut&) = delete;
+  FanOut& operator=(const FanOut&) = delete;
+  /// Stops further claims and waits for every index already running, so
+  /// no helper touches the caller's state after the fan-out is gone.
+  ~FanOut();
+
+  /// Return once fn(i) has finished. While it has not, the caller runs
+  /// the lowest unclaimed index, or sleeps when every index is claimed.
+  /// If any fn threw, the first exception is rethrown once no helper is
+  /// still running fn (and nothing more is claimed).
+  void wait(std::size_t i);
+  /// wait() on every index.
+  void wait_all();
+
+ private:
+  friend class ThreadPool;
+  struct Shared;
+  explicit FanOut(std::shared_ptr<Shared> shared) : shared_(std::move(shared)) {}
+  std::shared_ptr<Shared> shared_;
 };
 
 }  // namespace btcfast::common

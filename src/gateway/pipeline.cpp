@@ -370,7 +370,7 @@ Bytes Gateway::handle_submit(Decoded& d, const core::PassVerdicts* pass, std::ui
     rec.accepted_at_ms = now_ms;
     rec.package = std::move(req->package_bytes);
     rec.invoice = invoice->serialize();
-    const auto seq = store_->append(rec);
+    const auto seq = store_->append(std::move(rec));
     if (!seq) {
       queued_accepts_.fetch_sub(1, std::memory_order_acq_rel);
       (void)sh.ledger.release(*rid);
@@ -451,11 +451,7 @@ Bytes Gateway::handle_get_receipt(const Frame& frame, const BatchCommit& batch) 
 
 std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::uint64_t now_ms) {
   // Phase 1 (parallel): decode every frame once and collect the
-  // signature checks the decisions below will need, then verify them
-  // all in one pass. Job order follows frame order, so the verify
-  // caches end up the same for any pool size. Timed as the kVerifyPass
-  // stage, its wall time split evenly across the submit frames it
-  // covered.
+  // signature checks the decisions below will need, in frame order.
   const auto pass_start = Clock::now();
   const std::size_t n = frames.size();
   std::vector<Decoded> decoded(n);
@@ -480,6 +476,7 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
                                  &d.sigs);
   });
   std::vector<crypto::SigCheckJob> jobs;
+  std::vector<std::size_t> jobs_end(n, 0);  // per frame: one past its last job, 0 if none
   std::uint64_t submits = 0;
   for (const std::size_t i : submit_frames) {
     if (!decoded[i].submit) continue;
@@ -491,28 +488,49 @@ std::vector<Bytes> Gateway::serve_batch(const std::vector<Bytes>& frames, std::u
       if (j != core::SigJobIndex::kNone) j += base;
     }
     jobs.insert(jobs.end(), frame_jobs[i].begin(), frame_jobs[i].end());
-  }
-  std::vector<std::uint8_t> ok;
-  if (!jobs.empty()) {
-    ok = crypto::batch_verify(pool_, jobs, &crypto::SigCache::global(),
-                              &crypto::PubkeyPrecompCache::global());
-    verify_pass_.on_pass(jobs.size());
-  }
-  if (submits > 0) {
-    const std::uint64_t share_us = (elapsed_us(pass_start) + submits / 2) / submits;
-    for (std::uint64_t i = 0; i < submits; ++i) front_stats_.on_stage(Stage::kVerifyPass, share_us);
+    if (jobs.size() > base) jobs_end[i] = jobs.size();
   }
 
-  // Phase 2 (sequential): decisions in input order — the same responses
-  // as a plain serve() loop, with each signature's verdict read from the
-  // pass. Accepts only append their WAL records; the batch commits once.
+  // Phase 2: the verify pass's chunks run on the pool while this thread
+  // decides the frames in input order — the same responses as a plain
+  // serve() loop. A frame is decided once every chunk holding its jobs is
+  // published (waiting for a chunk runs unclaimed ones here), and reads
+  // each signature's verdict from the pass. Publishing in chunk order on
+  // this thread keeps the verify caches the same at every pool size. The
+  // time spent before the first decision and in these waits is the
+  // kVerifyPass stage, split evenly across the submit frames.
+  crypto::VerifyPass pass(pool_, jobs, &crypto::SigCache::global(),
+                          &crypto::PubkeyPrecompCache::global());
+  if (!jobs.empty()) verify_pass_.on_pass(jobs.size());
+  auto chunks = pool_.fan_out(pass.chunk_count(), [&pass](std::size_t c) { pass.run_chunk(c); });
+  std::size_t published = 0;
+  const auto publish_through = [&](std::size_t need) {
+    for (; published < need; ++published) {
+      chunks.wait(published);
+      pass.publish(published);
+    }
+  };
+  std::uint64_t pass_us = elapsed_us(pass_start);
+
+  // Accepts only append their WAL records; the batch commits once.
   BatchCommit batch;
   std::vector<Bytes> out(n);
   for (std::size_t i = 0; i < n; ++i) {
+    if (jobs_end[i] != 0 && published <= pass.chunk_of(jobs_end[i] - 1)) {
+      const auto wait_start = Clock::now();
+      publish_through(pass.chunk_of(jobs_end[i] - 1) + 1);
+      pass_us += elapsed_us(wait_start);
+    }
     batch.slot = i;
-    const core::PassVerdicts pass{jobs, ok, decoded[i].sigs};
-    out[i] = serve_one(frames[i], &decoded[i], &pass, now_ms, batch);
+    const core::PassVerdicts verdicts{jobs, pass.results(), decoded[i].sigs};
+    out[i] = serve_one(frames[i], &decoded[i], &verdicts, now_ms, batch);
   }
+  publish_through(pass.chunk_count());  // every job belongs to a frame: nothing is left
+  if (submits > 0) {
+    const std::uint64_t share_us = (pass_us + submits / 2) / submits;
+    for (std::uint64_t i = 0; i < submits; ++i) front_stats_.on_stage(Stage::kVerifyPass, share_us);
+  }
+
   if (!commit_batch(batch, out, now_ms)) {
     // The undone accepts were visible to reads earlier in this batch
     // (their receipts, their escrow's reserved total). Answer the reads

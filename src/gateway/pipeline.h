@@ -13,7 +13,8 @@
 //        signatures through crypto::verify_signature: SigCache, then the
 //        per-pubkey precomp cache, then a cold GLV verify, on the serving
 //        thread itself; inside serve_batch, the verdicts of the batch's
-//        verify pass)
+//        verify pass, whose chunks the pool checks while earlier frames
+//        are decided)
 //     -> reserve (ReservationLedger::try_reserve on the shard's ledger,
 //        keyed by the payment's txid — the per-escrow serialization
 //        point; two racing fast-pays cannot overcommit one escrow, and
@@ -96,7 +97,7 @@ struct GatewayConfig {
   std::size_t pubkey_precomp_max = crypto::PubkeyPrecompCache::kDefaultMaxEntries;
 };
 
-/// Counters of serve_batch's verify pass: one crypto::batch_verify per
+/// Counters of serve_batch's verify pass: one crypto::VerifyPass per
 /// call over the signature jobs of every submit frame in it (relaxed;
 /// for stats and benches).
 class VerifyPassStats {
@@ -167,11 +168,14 @@ class Gateway {
 
   /// Bulk intake. Phase 1 decodes every frame once (submit payloads and
   /// their signature checks, MerchantService::collect_sig_checks, on the
-  /// pool) and verifies every check in one crypto::batch_verify pass,
-  /// timed as Stage::kVerifyPass (one sample per submit frame, each an
-  /// even share of the pass). Phase 2 decides
-  /// the frames in order, reading each signature's verdict from the pass
-  /// instead of checking it again. The batch is the durability boundary:
+  /// pool) and starts one crypto::VerifyPass over every check. Phase 2
+  /// overlaps the pass with the decisions: the pool verifies the pass's
+  /// chunks while this thread decides the frames in order, each as soon
+  /// as the chunks holding its checks are published (a wait for a chunk
+  /// runs unclaimed chunks here), reading each signature's verdict from
+  /// the pass instead of checking it again. Stage::kVerifyPass times the
+  /// decode, the prologue and those waits (one sample per submit frame,
+  /// each an even share). The batch is the durability boundary:
   /// each accept's reserve record is appended as it is decided, then one
   /// WAL commit and one quorum commit cover the whole batch before any
   /// response is returned, and receipts are published only then. If

@@ -59,10 +59,13 @@ class LatencyHistogram {
 /// kRespond receipt recording + frame encoding, kWal the reserve
 /// record's append and commit (inside serve_batch: the append plus an
 /// even share of the batch's one commit and quorum round). kVerifyPass
-/// is serve_batch's phase 1 ahead of the per-frame stages — decoding
-/// every frame and batch-verifying its signature jobs: its wall time is
-/// split evenly across the submit frames it covered, one sample per
-/// frame.
+/// is serve_batch's loop-thread time outside the per-frame stages until
+/// the last verdict is in: decoding every frame and the verify pass's
+/// prologue, then every stretch spent running a verify chunk or waiting
+/// for one before a decision. While the loop thread decides, the pool's
+/// chunk work is not counted, so the stages still add up to the loop
+/// thread's time. The total is split evenly across the window's submit
+/// frames, one sample per frame.
 enum class Stage : std::size_t {
   kDecode = 0,
   kVerify,

@@ -2,8 +2,8 @@
 // every fd through Connection's bounded buffering, batches the complete
 // frames of each poll iteration into one FrameHandler::handle call (for
 // the gateway that is serve_batch, so concurrent frames share one
-// batch-verify pass on the pool), and writes responses back per
-// connection.
+// verify pass, whose chunks the pool checks while the loop thread
+// decides earlier frames), and writes responses back per connection.
 //
 // Single-threaded by design: one loop thread owns every socket, and all
 // request parallelism lives behind serve_batch's thread pool. That keeps

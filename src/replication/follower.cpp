@@ -137,13 +137,13 @@ ShipAck Follower::append_batch(const ShipBatch& batch) {
 
   for (const auto& rec : scan.records) {
     if (rec.seq < next) continue;  // idempotent re-ship of acked records
-    const auto decoded = store::StoreRecord::deserialize(rec.payload);
+    auto decoded = store::StoreRecord::deserialize(rec.payload);
     if (!decoded) {
       nack.error = ShipError::kCorrupt;
       nack.next_seq = store_->next_seq();
       return nack;
     }
-    if (!store_->append(*decoded)) {
+    if (!store_->append(std::move(*decoded))) {
       // Invalid transition: the primary's log can never produce one, so
       // local state has diverged from the stream. Fail closed.
       nack.error = ShipError::kStoreFailed;

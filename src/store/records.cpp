@@ -10,7 +10,13 @@ constexpr std::size_t kMaxBlob = 1u << 20;  ///< cap on opaque package/invoice b
 }  // namespace
 
 Bytes StoreRecord::serialize() const {
-  Writer w;
+  Bytes out;
+  serialize_to(out);
+  return out;
+}
+
+void StoreRecord::serialize_to(Bytes& out) const {
+  Writer w(std::move(out));
   w.u8(static_cast<std::uint8_t>(kind));
   switch (kind) {
     case RecordKind::kReserve:
@@ -44,7 +50,7 @@ Bytes StoreRecord::serialize() const {
       w.bytes({header.data(), header.size()});
       break;
   }
-  return std::move(w).take();
+  out = std::move(w).take();
 }
 
 std::optional<StoreRecord> StoreRecord::deserialize(ByteSpan data) {

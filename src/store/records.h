@@ -61,6 +61,8 @@ struct StoreRecord {
   ByteArray<80> header{};
 
   [[nodiscard]] Bytes serialize() const;
+  /// Append the same bytes to `out`.
+  void serialize_to(Bytes& out) const;
   /// Total decoder: nullopt on any truncation, trailing garbage, unknown
   /// kind or out-of-range enum value.
   [[nodiscard]] static std::optional<StoreRecord> deserialize(ByteSpan data);

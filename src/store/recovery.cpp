@@ -126,11 +126,11 @@ std::unique_ptr<DurableStore> DurableStore::open(const std::string& dir, StoreOp
         return fail("sequence gap: got " + std::to_string(record.seq) + ", want " +
                     std::to_string(next_seq));
       }
-      const auto decoded = StoreRecord::deserialize(record.payload);
+      auto decoded = StoreRecord::deserialize(record.payload);
       if (!decoded) {
         return fail("undecodable record at seq " + std::to_string(record.seq));
       }
-      if (!store->image_.apply(*decoded, record.seq)) {
+      if (!store->image_.apply(std::move(*decoded), record.seq)) {
         return fail("invalid transition at seq " + std::to_string(record.seq));
       }
       ++rec.replayed_records;
@@ -157,10 +157,19 @@ std::unique_ptr<DurableStore> DurableStore::open(const std::string& dir, StoreOp
 }
 
 std::optional<std::uint64_t> DurableStore::append(const StoreRecord& record) {
+  return append(StoreRecord(record));
+}
+
+std::optional<std::uint64_t> DurableStore::append(StoreRecord&& record) {
   std::lock_guard lock(mu_);
-  const std::uint64_t seq = wal_->next_seq();
-  if (!image_.apply(record, seq)) return std::nullopt;
-  const std::uint64_t assigned = wal_->append(record.serialize());
+  // One copy of the blobs: encoded straight into the WAL buffer, then
+  // moved into the image. An invalid transition takes the frame back.
+  const std::uint64_t assigned =
+      wal_->append([&record](Bytes& out) { record.serialize_to(out); });
+  if (!image_.apply(std::move(record), assigned)) {
+    wal_->drop_last();
+    return std::nullopt;
+  }
   ++records_since_snapshot_;
   if (options_.snapshot_every > 0 && records_since_snapshot_ >= options_.snapshot_every) {
     (void)take_snapshot_locked();

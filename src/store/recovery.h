@@ -89,11 +89,14 @@ class DurableStore {
   DurableStore(const DurableStore&) = delete;
   DurableStore& operator=(const DurableStore&) = delete;
 
-  /// Append one event: serialize, frame into the WAL buffer, apply to
+  /// Append one event: serialize straight into the WAL buffer, apply to
   /// the live image. Returns the assigned sequence number, or nullopt if
   /// the record is an invalid transition (see IndexedImage::apply) — in which
   /// case nothing was logged.
   [[nodiscard]] std::optional<std::uint64_t> append(const StoreRecord& record);
+  /// Same, moving a reserve's package and invoice into the image: the
+  /// blobs are copied once, into the WAL buffer.
+  [[nodiscard]] std::optional<std::uint64_t> append(StoreRecord&& record);
 
   /// Group-commit the buffered appends (fsync per policy).
   bool commit();

@@ -203,6 +203,10 @@ std::optional<IndexedImage> IndexedImage::index(StateImage image) {
 }
 
 bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
+  return apply(StoreRecord(record), seq);
+}
+
+bool IndexedImage::apply(StoreRecord&& record, std::uint64_t seq) {
   StateImage& image = image_;
   switch (record.kind) {
     case RecordKind::kReserve: {
@@ -224,8 +228,8 @@ bool IndexedImage::apply(const StoreRecord& record, std::uint64_t seq) {
       AcceptedImage acc;
       acc.reservation_id = record.reservation_id;
       acc.accepted_at_ms = record.accepted_at_ms;
-      acc.package = record.package;
-      acc.invoice = record.invoice;
+      acc.package = std::move(record.package);
+      acc.invoice = std::move(record.invoice);
       image.accepted.push_back(std::move(acc));
       break;
     }

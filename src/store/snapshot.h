@@ -103,6 +103,8 @@ class IndexedImage {
   /// reservation, resolve of an unopened dispute — which recovery treats
   /// as corruption and fails closed on.
   [[nodiscard]] bool apply(const StoreRecord& record, std::uint64_t seq);
+  /// Same, moving a reserve's package and invoice into the image.
+  [[nodiscard]] bool apply(StoreRecord&& record, std::uint64_t seq);
 
   [[nodiscard]] const StateImage& image() const noexcept { return image_; }
 

@@ -89,13 +89,24 @@ void append_wal_header(Bytes& out) {
 }
 
 void append_wal_record(Bytes& out, std::uint64_t seq, ByteSpan payload) {
-  Writer w;
-  w.reserve(kWalRecordHeaderSize + payload.size());
-  w.u32le(static_cast<std::uint32_t>(payload.size()));
-  w.u32le(wal_record_crc(seq, payload));
-  w.u64le(seq);
-  w.bytes(payload);
-  append(out, w.data());
+  append_wal_record(out, seq, [payload](Bytes& b) { append(b, payload); });
+}
+
+void append_wal_record(Bytes& out, std::uint64_t seq, const std::function<void(Bytes&)>& write) {
+  // Reserve the header, let `write` append the payload, then fill the
+  // header in from the payload bytes where they landed.
+  const std::size_t start = out.size();
+  out.resize(start + kWalRecordHeaderSize);
+  write(out);
+  const std::size_t body = start + kWalRecordHeaderSize;
+  const ByteSpan payload{out.data() + body, out.size() - body};
+  const std::uint32_t fields[2] = {static_cast<std::uint32_t>(payload.size()),
+                                   wal_record_crc(seq, payload)};
+  std::uint8_t* h = out.data() + start;
+  for (int f = 0; f < 2; ++f) {
+    for (int b = 0; b < 4; ++b) *h++ = static_cast<std::uint8_t>(fields[f] >> (8 * b));
+  }
+  for (int b = 0; b < 8; ++b) *h++ = static_cast<std::uint8_t>(seq >> (8 * b));
 }
 
 Wal::Wal(std::unique_ptr<AppendFile> file, WalOptions options, std::uint64_t next_seq,
@@ -108,11 +119,23 @@ Wal::Wal(std::unique_ptr<AppendFile> file, WalOptions options, std::uint64_t nex
 }
 
 std::uint64_t Wal::append(ByteSpan payload) {
+  return append([payload](Bytes& b) { btcfast::append(b, payload); });
+}
+
+std::uint64_t Wal::append(const std::function<void(Bytes&)>& write) {
   const std::uint64_t seq = next_seq_++;
-  append_wal_record(buffer_, seq, payload);
+  last_start_ = buffer_.size();
+  append_wal_record(buffer_, seq, write);
   ++buffered_records_;
   ++appends_;
   return seq;
+}
+
+void Wal::drop_last() {
+  buffer_.resize(last_start_);
+  --next_seq_;
+  --buffered_records_;
+  --appends_;
 }
 
 bool Wal::commit() {

@@ -70,6 +70,9 @@ struct WalOptions {
 /// Low-level framing, shared with the scan path, tests and fuzzers.
 void append_wal_header(Bytes& out);
 void append_wal_record(Bytes& out, std::uint64_t seq, ByteSpan payload);
+/// The same framing, with the payload appended straight onto `out` by
+/// `write` — no staging copy.
+void append_wal_record(Bytes& out, std::uint64_t seq, const std::function<void(Bytes&)>& write);
 
 /// The framed-record CRC: crc32c(seq_le || payload). Exposed so the
 /// replication layer can re-verify shipped frames without re-framing.
@@ -97,6 +100,12 @@ class Wal {
   /// Frame `payload` into the commit buffer and return its sequence
   /// number. Nothing reaches the file until commit().
   std::uint64_t append(ByteSpan payload);
+  /// Same, with the payload written straight into the commit buffer by
+  /// `write` (append_wal_record's second form).
+  std::uint64_t append(const std::function<void(Bytes&)>& write);
+  /// Take back the last append. Only valid right after an append, before
+  /// the next commit().
+  void drop_last();
 
   /// Write the buffered batch in one append and fsync per policy.
   /// Returns false on IO failure (buffer is kept for retry).
@@ -130,6 +139,7 @@ class Wal {
   std::uint64_t next_seq_;
   Bytes buffer_;
   std::size_t header_prefix_ = 0;  ///< file-header bytes at buffer_'s front
+  std::size_t last_start_ = 0;     ///< buffer_ offset of the last append's frame
   CommitTap tap_;
   std::size_t buffered_records_ = 0;
   std::size_t unsynced_records_ = 0;

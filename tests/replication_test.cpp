@@ -11,6 +11,7 @@
 // so is its stats document's replication section.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -25,6 +26,8 @@
 #include "btcfast/orchestrator.h"
 #include "btcsim/scenario.h"
 #include "common/thread_pool.h"
+#include "crypto/batch_verify.h"
+#include "crypto/sigcache.h"
 #include "gateway/pipeline.h"
 #include "gateway/wire.h"
 #include "replication/failover.h"
@@ -469,14 +472,15 @@ Bytes read_file(const std::string& path) {
 /// bad invoice, a garbage frame and reads. Two worlds built from the same
 /// seed hold identical state, so the frames of one are valid for both.
 struct BatchWorld {
-  BatchWorld() {
+  /// One customer with `payments` coins and as many invoices.
+  explicit BatchWorld(std::size_t payments = 9) {
     core::DeploymentConfig cfg;
     cfg.seed = 5150;
-    cfg.funded_coins = 9;
-    cfg.collateral = 20'000'000;
+    cfg.funded_coins = static_cast<btc::Amount>(payments);
+    cfg.collateral = std::max<psc::Value>(20'000'000, static_cast<psc::Value>(payments) * 2'000'000);
     dep = std::make_unique<core::Deployment>(cfg);
     now = static_cast<std::uint64_t>(dep->simulator().now());
-    for (int i = 0; i < 9; ++i) {
+    for (std::size_t i = 0; i < payments; ++i) {
       invoices.push_back(dep->merchant().make_invoice(5 * btc::kCoin, cfg.compensation, now,
                                                       10ULL * 60 * 1000));
     }
@@ -598,9 +602,11 @@ struct ServedRun {
 /// attached: one serve() per frame (`batches` empty) or one serve_batch
 /// per [begin, end) range, then flush.
 ServedRun serve_frames(const std::string& tag, std::size_t pool_workers,
-                       const std::vector<std::pair<std::size_t, std::size_t>>& batches) {
-  BatchWorld w;
-  const BatchFrames bf = batch_frames(w);
+                       const std::vector<std::pair<std::size_t, std::size_t>>& batches,
+                       std::size_t payments = 9,
+                       BatchFrames (*build)(BatchWorld&) = batch_frames) {
+  BatchWorld w(payments);
+  const BatchFrames bf = build(w);
   w.dep->merchant_node().receive_tx(bf.conflict);
   common::ThreadPool pool(pool_workers);
   gateway::Gateway& gw = w.gateway(pool);
@@ -675,6 +681,100 @@ TEST(GatewayBatchCommit, MatchesServeLoopBytesWalAndFollowerAtEveryPoolSize) {
     EXPECT_EQ(batch.wal, loop.wal) << workers << " workers";
     EXPECT_EQ(batch.follower_image, loop.follower_image) << workers << " workers";
     EXPECT_EQ(batch.quorum_calls, 2) << "one per batch; the flush asks none";
+  }
+}
+
+// --- a window of several verify chunks ------------------------------------
+
+constexpr std::size_t kChunkedPayments = 72;
+
+/// 73 submits, 146 signature jobs: five verify chunks of one customer's
+/// key, so the key's jobs span every chunk. Chunk 0 holds a package
+/// without R-parity hints, chunk 1 a bad input signature, chunk 2 a
+/// wrong hint bit on valid signatures (its equation fails and every job
+/// falls back to its own chain), and chunk 4 a replay of a frame from
+/// chunk 0.
+BatchFrames chunked_frames(BatchWorld& w) {
+  BatchFrames out;
+  std::vector<core::FastPayPackage> paid;
+  for (std::size_t i = 0; i < kChunkedPayments; ++i) {
+    auto p = w.pay(i);
+    if (i == 3) p.r_parity.clear();
+    if (i == 24) {
+      p.payment_tx.inputs[0].script_sig.signature[9] ^= 0x01;
+      w.rebind(p);
+    }
+    if (i == 40) p.r_parity[0] ^= 1;
+    out.frames.push_back(submit(100 + i, w.invoices[i], p));
+    paid.push_back(p);
+    if (i == 69) out.frames.push_back(submit(500, w.invoices[10], paid[10]));  // replay
+  }
+  return out;
+}
+
+/// The SigCache keys of every signature check the frames carry.
+std::vector<crypto::SigCache::Key> frame_sig_keys(BatchWorld& w, const std::vector<Bytes>& frames,
+                                                  std::size_t* job_count) {
+  std::vector<crypto::SigCheckJob> jobs;
+  for (const auto& f : frames) {
+    const auto frame = gateway::Frame::deserialize(f);
+    const auto req = gateway::SubmitFastPayRequest::deserialize(frame->payload);
+    const auto& pkg = req->package;
+    w.dep->merchant().collect_sig_checks(
+        pkg, w.dep->merchant().escrow_view(pkg.binding.binding.escrow_id), jobs);
+  }
+  *job_count = jobs.size();
+  std::vector<crypto::SigCache::Key> keys;
+  for (const auto& j : jobs) {
+    keys.push_back(crypto::SigCache::make_key(j.digest, {j.pubkey.data(), j.pubkey.size()},
+                                              {j.sig.data(), j.sig.size()}));
+  }
+  return keys;
+}
+
+TEST(GatewayBatchCommit, MultiChunkWindowMatchesServeLoopAtEveryPoolSize) {
+  std::vector<crypto::SigCache::Key> keys;
+  std::size_t job_count = 0;
+  std::size_t frame_count = 0;
+  {
+    BatchWorld w(kChunkedPayments);
+    const BatchFrames bf = chunked_frames(w);
+    frame_count = bf.frames.size();
+    keys = frame_sig_keys(w, bf.frames, &job_count);
+  }
+  ASSERT_GE(job_count, 4 * crypto::kVerifyChunkJobs);
+  // Each run starts from empty verify caches, so the window's checks all
+  // reach the chunks, and ends with the caches read back for every check.
+  const auto run = [&](const std::string& tag, std::size_t workers,
+                       const std::vector<std::pair<std::size_t, std::size_t>>& batches,
+                       std::vector<bool>& cached) {
+    crypto::SigCache::global().clear();
+    crypto::PubkeyPrecompCache::global().clear();
+    ServedRun r = serve_frames(tag, workers, batches, kChunkedPayments, chunked_frames);
+    cached.clear();
+    for (const auto& k : keys) cached.push_back(crypto::SigCache::global().contains(k));
+    return r;
+  };
+  std::vector<bool> loop_cached;
+  const ServedRun loop = run("chunks-loop", 0, {}, loop_cached);
+  ASSERT_EQ(loop.responses.size(), frame_count);
+  for (std::size_t i = 0; i < frame_count; ++i) {
+    const auto want = i == 24   ? core::RejectReason::kInputSigInvalid
+                      : i == 70 ? core::RejectReason::kDuplicatePayment
+                                : core::RejectReason::kNone;
+    EXPECT_EQ(result_code(loop.responses[i]), static_cast<std::uint16_t>(want)) << "frame " << i;
+  }
+  EXPECT_EQ(std::count(loop_cached.begin(), loop_cached.end(), false), 1);  // the bad input
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                    common::ThreadPool::hardware_workers()}) {
+    std::vector<bool> cached;
+    const ServedRun batch =
+        run("chunks-" + std::to_string(workers), workers, {{0, frame_count}}, cached);
+    EXPECT_EQ(batch.responses, loop.responses) << workers << " workers";
+    EXPECT_EQ(batch.wal, loop.wal) << workers << " workers";
+    EXPECT_EQ(batch.follower_image, loop.follower_image) << workers << " workers";
+    EXPECT_EQ(cached, loop_cached) << workers << " workers";
   }
 }
 

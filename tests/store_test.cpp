@@ -693,11 +693,22 @@ TEST(DurableStoreTest, AppendRejectsInvalidTransitionWithoutLogging) {
   opts.policy = FsyncPolicy::kNone;
   auto st = DurableStore::open(dir, opts);
   ASSERT_NE(st, nullptr);
-  ASSERT_TRUE(st->append(reserve_rec(1, 1, 10)).has_value());
+  const auto first = st->append(reserve_rec(1, 1, 10));
+  ASSERT_TRUE(first.has_value());
   const auto appends_before = st->wal_appends();
   EXPECT_FALSE(st->append(reserve_rec(1, 1, 10)).has_value());  // double reserve
   EXPECT_EQ(st->wal_appends(), appends_before);  // nothing hit the log
   EXPECT_EQ(st->image_copy().reservations.size(), 1u);
+  // The refused record left no frame and no sequence gap: the next
+  // append takes the next number, and the log replays cleanly.
+  const auto second = st->append(reserve_rec(2, 1, 10));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(*second, *first + 1);
+  ASSERT_TRUE(st->commit());
+  st.reset();
+  const auto reopened = DurableStore::open(dir, opts);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->image_copy().reservations.size(), 2u);
   fs::remove_all(dir);
 }
 

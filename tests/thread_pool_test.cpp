@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -101,6 +102,128 @@ TEST(ThreadPool, ConcurrencySmoke) {
   }
   for (auto& f : futs) f.get();
   EXPECT_EQ(sum.load(), kTasks * (kTasks - 1) / 2);
+}
+
+// --- fan_out --------------------------------------------------------------
+
+// Pool sizes the fan-out tests walk: inline, one worker, and a worker per
+// allowed CPU.
+std::vector<std::size_t> fan_out_pool_sizes() {
+  return {0, 1, 2, common::ThreadPool::hardware_workers()};
+}
+
+TEST(ThreadPool, FanOutRunsEveryIndexExactlyOnce) {
+  for (const std::size_t threads : fan_out_pool_sizes()) {
+    common::ThreadPool pool(threads);
+    for (const std::size_t n : {0, 1, 2, 7, 64}) {
+      std::vector<std::atomic<int>> counts(n);
+      auto fan = pool.fan_out(n, [&](std::size_t i) { counts[i].fetch_add(1); });
+      fan.wait_all();
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(counts[i].load(), 1) << "index " << i << " n " << n << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, FanOutWaitReturnsOnlyAfterTheIndexFinished) {
+  for (const std::size_t threads : fan_out_pool_sizes()) {
+    common::ThreadPool pool(threads);
+    constexpr std::size_t kN = 24;
+    // Waited out of order, so some waits find their index claimed by a
+    // helper and still running.
+    std::vector<std::size_t> order(kN);
+    for (std::size_t i = 0; i < kN; ++i) order[i] = (i * 7) % kN;
+    std::vector<std::atomic<bool>> finished(kN);
+    auto fan = pool.fan_out(kN, [&](std::size_t i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200 + 50 * (i % 3)));
+      finished[i].store(true);
+    });
+    for (const std::size_t i : order) {
+      fan.wait(i);
+      ASSERT_TRUE(finished[i].load()) << "index " << i << " threads " << threads;
+    }
+  }
+}
+
+TEST(ThreadPool, FanOutCallerRunsUnclaimedIndices) {
+  const std::size_t threads = std::max<std::size_t>(2, common::ThreadPool::hardware_workers());
+  common::ThreadPool pool(threads);
+  // Park every worker behind a task that waits for the release, so the
+  // fan-out's helpers sit unscheduled in their mailboxes.
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  std::vector<std::future<void>> parked;
+  for (std::size_t w = 0; w < threads; ++w) parked.push_back(pool.submit([released] { released.wait(); }));
+  constexpr std::size_t kN = 8;
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(kN);
+  {
+    auto fan = pool.fan_out(kN, [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    fan.wait(kN - 1);  // every index is unclaimed: the caller runs them all, in order
+    for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(ran_on[i], caller) << "index " << i;
+  }
+  release.set_value();
+  for (auto& p : parked) p.get();
+}
+
+TEST(ThreadPool, FanOutRethrowsTheFirstExceptionAfterEveryHelperFinished) {
+  for (const std::size_t threads : fan_out_pool_sizes()) {
+    common::ThreadPool pool(threads);
+    constexpr std::size_t kN = 64;
+    std::atomic<int> in_flight{0};
+    std::atomic<int> started{0};
+    auto fan = pool.fan_out(kN, [&](std::size_t i) {
+      started.fetch_add(1);
+      in_flight.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+      in_flight.fetch_sub(1);
+      if (i == 5) throw std::runtime_error("index 5");
+    });
+    try {
+      fan.wait_all();
+      FAIL() << "no exception, threads " << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 5");
+      EXPECT_EQ(in_flight.load(), 0) << "threads " << threads;
+    }
+    // Nothing is claimed after the throw: the count stays put.
+    const int after = started.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(started.load(), after) << "threads " << threads;
+    EXPECT_LT(after, static_cast<int>(kN)) << "threads " << threads;
+    EXPECT_THROW(fan.wait(kN - 1), std::runtime_error);  // an unrun index rethrows too
+  }
+}
+
+TEST(ThreadPool, FanOutOnAnInlinePoolIsAPlainLoop) {
+  common::ThreadPool pool(0);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  auto fan = pool.fan_out(5, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_TRUE(order.empty());  // nothing runs before the first wait
+  fan.wait(2);
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2}));
+  fan.wait(1);  // already finished: runs nothing
+  fan.wait_all();
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, AbandonedFanOutWaitsForItsRunningIndices) {
+  common::ThreadPool pool(common::ThreadPool::hardware_workers());
+  std::atomic<int> in_flight{0};
+  {
+    auto fan = pool.fan_out(32, [&](std::size_t) {
+      in_flight.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      in_flight.fetch_sub(1);
+    });
+    fan.wait(0);
+  }  // destroyed without wait_all
+  EXPECT_EQ(in_flight.load(), 0);
 }
 
 // --- batch_verify -------------------------------------------------------
@@ -542,6 +665,31 @@ TEST(ThreadPool, ParallelForSkipsTheWorkerOnTheCallersCpu) {
       ASSERT_EQ(counts[i].load(), 1) << "index " << i << " caller cpu " << cpu;
       // Pinned threads report their own CPU, so only the caller may run
       // items on the caller's CPU.
+      if (ran[i].thread != caller) {
+        EXPECT_NE(ran[i].cpu, cpu) << "index " << i << " ran on the caller's worker";
+      } else {
+        EXPECT_EQ(ran[i].cpu, cpu);
+      }
+    }
+  }
+}
+
+TEST(ThreadPool, FanOutSkipsTheWorkerOnTheCallersCpu) {
+  const auto allowed = common::ThreadPool::allowed_cpus();
+  ASSERT_FALSE(allowed.empty());
+  common::ThreadPool pool(allowed.size());
+  constexpr std::size_t kN = 64;
+  for (const int cpu : allowed) {
+    PinCaller pin(cpu);
+    ASSERT_TRUE(pin.pinned()) << "cpu " << cpu;
+    const auto caller = std::this_thread::get_id();
+    std::vector<Ran> ran(kN);
+    auto fan = pool.fan_out(kN, [&](std::size_t i) {
+      ran[i] = Ran{std::this_thread::get_id(), sched_getcpu()};
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    });
+    fan.wait_all();
+    for (std::size_t i = 0; i < kN; ++i) {
       if (ran[i].thread != caller) {
         EXPECT_NE(ran[i].cpu, cpu) << "index " << i << " ran on the caller's worker";
       } else {
